@@ -97,7 +97,7 @@ def _cmd_invariants(args) -> int:
     g = _load_graph(args.graph)
     d = g.domain
     leads = splines.leading_values(g)
-    q = splines.determinant_target(g)
+    q = d.canonical(d.product(leads))
     if args.format == "json":
         _emit_json({
             "leading_values": [d.format(v) for v in leads],
@@ -268,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="spline document (JSON); repeat once per candidate")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--max-trails", type=int, default=DEFAULT_TRAIL_LIMIT,
-                       help="abort trail enumeration beyond this many trails")
+                       help="abort trail enumeration beyond this many trails "
+                            "(trails, selections and construct only)")
 
     common(sub.add_parser("verify", help="check a vector against the edge conditions"),
            spline="one")
@@ -304,12 +305,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact results such as q_g can exceed the interpreter's default
+    # int/str digit limit; lift it for this call only, so in-process
+    # callers keep their own setting.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, RuntimeError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

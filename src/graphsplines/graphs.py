@@ -119,11 +119,15 @@ def load_graph(document) -> LabeledGraph:
         edge_docs = document["edges"]
     except KeyError as exc:
         raise GraphDocumentError(f"graph document is missing key {exc}") from None
-    domain = DOMAINS.get(domain_name)
+    domain = DOMAINS.get(domain_name) if isinstance(domain_name, str) else None
     if domain is None:
         raise GraphDocumentError(f"unknown domain {domain_name!r}")
     if not isinstance(vertices, list) or not vertices:
         raise GraphDocumentError("graph document needs a nonempty vertex list")
+    if not all(isinstance(name, str) for name in vertices):
+        raise GraphDocumentError("vertex names must be strings")
+    if not isinstance(edge_docs, list):
+        raise GraphDocumentError("graph document needs an edge list")
     if len(set(vertices)) != len(vertices):
         raise GraphDocumentError("vertex names must be distinct")
     index = {name: k for k, name in enumerate(vertices)}
@@ -134,7 +138,8 @@ def load_graph(document) -> LabeledGraph:
             uname, vname, text = doc["u"], doc["v"], doc["label"]
         except (TypeError, KeyError):
             raise GraphDocumentError(f"edge #{pos} must have keys u, v, label") from None
-        if uname not in index or vname not in index:
+        if not (isinstance(uname, str) and isinstance(vname, str)
+                and uname in index and vname in index):
             raise GraphDocumentError(f"edge #{pos} references an unknown vertex")
         u, v = index[uname], index[vname]
         if u == v:
@@ -144,6 +149,8 @@ def load_graph(document) -> LabeledGraph:
         if (u, v) in seen:
             raise GraphDocumentError(f"duplicate edge {uname}-{vname}")
         seen.add((u, v))
+        if not isinstance(text, str):
+            raise GraphDocumentError(f"edge #{pos}: label must be a string")
         try:
             label = domain.parse(text)
         except RingParseError as exc:
@@ -261,26 +268,30 @@ def zero_trails(g: LabeledGraph, i: int,
     on_path[i] = True
     path_vertices = [i]
     path_edges: list[int] = []
-
-    def visit(v: int) -> None:
-        for edge_index, w in g.neighbors(v):
+    # One neighbor iterator per path vertex: an explicit depth-first
+    # stack, so path length is not bounded by the recursion limit.
+    pending = [iter(g.neighbors(i))]
+    while pending:
+        for edge_index, w in pending[-1]:
             if on_path[w]:
                 continue
             path_edges.append(edge_index)
             path_vertices.append(w)
-            if w < i:
-                if len(results) >= max_trails:
-                    raise TrailLimitError(
-                        f"more than {max_trails} zero trails; raise the cap to continue"
-                    )
-                results.append(_trail(g, path_vertices, path_edges))
-            else:
+            if w >= i:
                 on_path[w] = True
-                visit(w)
-                on_path[w] = False
+                pending.append(iter(g.neighbors(w)))
+                break
+            if len(results) >= max_trails:
+                raise TrailLimitError(
+                    f"more than {max_trails} zero trails; raise the cap to continue"
+                )
+            results.append(_trail(g, path_vertices, path_edges))
             path_vertices.pop()
             path_edges.pop()
-
-    visit(i)
+        else:
+            pending.pop()
+            if path_edges:
+                on_path[path_vertices.pop()] = False
+                path_edges.pop()
     results.sort(key=lambda t: t.edges)
     return results

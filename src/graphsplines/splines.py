@@ -4,6 +4,9 @@ A spline on an edge-labeled graph is a vertex vector whose difference
 across every edge is divisible by that edge's label.  For vertex i the
 leading value is the lcm of the gcds of its zero trails; the product of
 all leading values is the determinant target used by the basis check.
+Leading values come from a path closure that lists no trails (see
+``leading_value``); trails are enumerated only for the selections below,
+whose output is made of trails.
 
 A selection at vertex i picks one edge from every zero trail of length
 greater than one.  Each pick contributes the quotient of its label by the
@@ -45,17 +48,61 @@ def is_spline(g: LabeledGraph, values: Sequence) -> bool:
 
 
 def leading_value(g: LabeledGraph, i: int):
-    """lcm of the zero-trail gcds of vertex ``i``; one for the first vertex."""
+    """lcm of the zero-trail gcds of vertex ``i``; one for the first vertex.
+
+    Computed as a path closure over the ``(lcm, gcd)`` semiring, without
+    listing trails.  A worklist walks from ``i`` through vertices ``> i``
+    and keeps ``reach[v]``, the lcm of the gcds of the walks found so far
+    from ``i`` to ``v``; an edge into an earlier vertex folds the walk's
+    gcd into the result.  This is exact:
+
+    * gcd distributes over lcm in a GCD domain, so relaxing ``reach[v]``
+      as a whole equals relaxing each walk into ``v`` on its own;
+    * cutting the cycles out of a walk leaves a zero trail (a simple path,
+      see ``zero_trails``) whose gcd is a multiple of the walk's, so the
+      lcm over walks equals the lcm over zero trails;
+    * a walk whose gcd already divides the result or ``reach[v]`` is
+      dropped, which is sound because extending a walk only shrinks its
+      gcd.
+
+    Every update strictly grows ``reach[v]`` inside the divisors of the
+    lcm of the labels at ``v``, so the loop ends after polynomially many
+    gcd and lcm operations.
+    """
     if not 0 <= i < g.n:
         raise ValueError(f"vertex index {i} out of range")
+    d = g.domain
     if i == 0:
-        return g.domain.one
-    trails = zero_trails(g, i)
-    if not trails:
+        return d.one
+    lead = None
+    reach = {i: d.zero}
+    work = [i]
+    queued = {i}
+    while work:
+        v = work.pop()
+        queued.discard(v)
+        at_v = reach[v]
+        for k, w in g.neighbors(v):
+            x = d.gcd(at_v, g.edges[k].label)
+            if lead is not None and d.divides(x, lead):
+                continue
+            if w < i:
+                lead = x if lead is None else d.lcm(lead, x)
+                continue
+            old = reach.get(w)
+            if old is not None:
+                if d.divides(x, old):
+                    continue
+                x = d.lcm(old, x)
+            reach[w] = x
+            if w not in queued:
+                queued.add(w)
+                work.append(w)
+    if lead is None:
         raise DisconnectedGraphError(
             f"vertex {g.vertex_names[i]} has no trail to any earlier vertex"
         )
-    return g.domain.lcm_all(t.gcd for t in trails)
+    return lead
 
 
 def leading_values(g: LabeledGraph) -> list:
@@ -205,16 +252,17 @@ def _assign_edges(g: LabeledGraph, trails: Sequence[Trail],
 
 
 def _build_selection(g: LabeledGraph, i: int, trails: Sequence[Trail],
-                     choice: Sequence[int]) -> Selection:
+                     choice: Sequence[int], lead, key_of: dict) -> Selection:
+    """``lead`` is the leading value of ``i`` and ``key_of`` the map from
+    ``_label_keys``; both are per-vertex, so callers compute them once."""
     d = g.domain
     factors = tuple(
         d.exact_div(g.edges[e].label, t.gcd) for t, e in zip(trails, choice)
     )
-    key_of = _label_keys(g)
     label_set = {d.canonical(g.edges[e].label) for e in choice}
     labels = tuple(sorted(label_set, key=lambda c: key_of[c]))
     product = d.canonical(d.product(factors))
-    value = d.canonical(d.mul(product, leading_value(g, i)))
+    value = d.canonical(d.mul(product, lead))
     h_edges = frozenset(
         e.index for e in g.edges if d.canonical(e.label) in label_set
     )
@@ -250,15 +298,16 @@ def minimal_selections(g: LabeledGraph, i: int,
             f"selections exist for vertex indices 1..{g.n - 2}, got {i}"
         )
     trails = _long_trails(g, i, max_trails)
-    if not trails:
-        return [_build_selection(g, i, (), ())]
+    lead = leading_value(g, i)
     key_of = _label_keys(g)
+    if not trails:
+        return [_build_selection(g, i, (), (), lead, key_of)]
     key_of_edge = {e.index: key_of[g.domain.canonical(e.label)] for e in g.edges}
     keysets = [tuple(sorted({key_of_edge[k] for k in t.edges})) for t in trails]
     out = []
     for s in _minimal_hitting_sets(keysets):
         choice = _assign_edges(g, trails, s, key_of_edge)
-        out.append(_build_selection(g, i, trails, choice))
+        out.append(_build_selection(g, i, trails, choice, lead, key_of))
     return out
 
 
@@ -286,10 +335,10 @@ def selection_from_labels(g: LabeledGraph, i: int, labels,
         if keyset:
             raise ValueError("vertex has no long zero trail; only the empty "
                              "label set is realizable")
-        return _build_selection(g, i, (), ())
+        return _build_selection(g, i, (), (), leading_value(g, i), key_of)
     key_of_edge = {e.index: key_of[d.canonical(e.label)] for e in g.edges}
     choice = _assign_edges(g, trails, frozenset(keyset), key_of_edge)
-    return _build_selection(g, i, trails, choice)
+    return _build_selection(g, i, trails, choice, leading_value(g, i), key_of)
 
 
 def _check_output(g: LabeledGraph, values: list, what: str) -> list:

@@ -3,17 +3,20 @@
 The oracles here deliberately re-derive results through different
 algorithms than the package uses: determinants by first-row cofactor
 expansion, zero trails by full trail enumeration plus explicit edge-set
-pruning, and trail counts by dynamic programming over used-edge sets.
+pruning, leading values from the listed zero trails, and trail counts by
+dynamic programming over used-edge sets.
 """
 
 import itertools
 import random
 
 from graphsplines import (
+    DisconnectedGraphError,
     LabeledGraph,
     completion,
     enumerate_trails,
     load_graph,
+    zero_trails,
 )
 
 
@@ -150,6 +153,20 @@ def brute_zero_trails(g: LabeledGraph, i: int):
         if not any(other < es for other in by_set):
             survivors.append(rep)
     return sorted(survivors)
+
+
+def trail_leading_value(g: LabeledGraph, i: int):
+    """Leading value by definition: lcm over the zero trails of their gcds.
+
+    Reference for the path closure in ``splines.leading_value``; takes
+    factorial time on dense graphs.
+    """
+    if i == 0:
+        return g.domain.one
+    trails = zero_trails(g, i)
+    if not trails:
+        raise DisconnectedGraphError(f"vertex {i} has no zero trail")
+    return g.domain.lcm_all(t.gcd for t in trails)
 
 
 def count_trails_dp(g: LabeledGraph, start: int, end: int) -> int:

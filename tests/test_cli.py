@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -41,6 +43,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def doc_path(tmp_path, doc, name="g.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def primes(count):
+    out = []
+    c = 2
+    while len(out) < count:
+        if all(c % p for p in out):
+            out.append(c)
+        c += 1
+    return out
+
+
+def cycle_doc(n, label):
+    names = [f"v{k}" for k in range(1, n + 1)]
+    return helpers.graph_doc("int", names, [
+        (names[k], names[(k + 1) % n], label) for k in range(n)
+    ])
 
 
 class TestVerify:
@@ -109,6 +134,54 @@ class TestInvariants:
         assert code == 0
         assert "lead[v2] = 30" in out and "q_g = 2160" in out
 
+    def test_k12_distinct_primes(self, capsys, tmp_path):
+        # every long zero trail has gcd one, so a lead is the product of
+        # the primes on the edges to earlier vertices
+        names = [f"v{k}" for k in range(1, 13)]
+        pairs = list(itertools.combinations(range(12), 2))
+        label = dict(zip(pairs, primes(len(pairs))))
+        doc = helpers.graph_doc("int", names, [
+            (names[u], names[v], label[(u, v)]) for u, v in pairs
+        ])
+        code, out, _ = run(capsys, "invariants", "--graph",
+                           doc_path(tmp_path, doc), "--format", "json")
+        assert code == 0
+        leads = [1]
+        for i in range(1, 12):
+            leads.append(math.prod(label[(j, i)] for j in range(i)))
+        assert json.loads(out) == {
+            "leading_values": [str(v) for v in leads],
+            "q_g": str(math.prod(label.values())),
+        }
+
+    def test_cycle_1500(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "invariants", "--graph",
+                           doc_path(tmp_path, cycle_doc(1500, 3)),
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["leading_values"] == ["1"] + ["3"] * 1499
+        assert doc["q_g"] == str(3 ** 1499)
+
+    def test_q_g_beyond_the_int_str_digit_limit(self, capsys, tmp_path):
+        p = 10 ** 9 + 7
+        names = [f"v{k}" for k in range(1, 601)]
+        doc = helpers.graph_doc("int", names, [
+            (names[k], names[k + 1], p) for k in range(599)
+        ])
+        before = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "invariants", "--graph",
+                           doc_path(tmp_path, doc), "--format", "json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == before
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(p ** 599)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert len(expected) > 4300
+        assert json.loads(out)["q_g"] == expected
+
 
 class TestTrails:
     def test_diamond_v2(self, capsys, diamond_path):
@@ -138,6 +211,16 @@ class TestTrails:
         code, _, err = run(capsys, "trails", "--graph", str(p),
                            "--vertex", "2", "--max-trails", "1")
         assert code == 2 and "raise the cap" in err
+
+    def test_cycle_1500_beyond_the_recursion_limit(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "trails", "--graph",
+                           doc_path(tmp_path, cycle_doc(1500, 3)),
+                           "--vertex", "2", "--format", "json")
+        assert code == 0
+        trails = json.loads(out)["trails"]
+        assert [len(t["path"]) for t in trails] == [2, 1500]
+        assert trails[1]["path"][-1] == "v1"
+        assert [t["gcd"] for t in trails] == ["3", "3"]
 
 
 class TestSelections:
@@ -242,6 +325,31 @@ class TestFlowup:
                        "--spline", str(p))[0] == 0
             argv += ["--spline", str(p)]
         assert run(capsys, *argv)[0] == 0
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda d: d["edges"][0].update(label=5),
+                     "label must be a string", id="numeric-label"),
+        pytest.param(lambda d: d.update(vertices=[["v1"], "v2", "v3", "v4"]),
+                     "vertex names must be strings", id="list-vertex-name"),
+        pytest.param(lambda d: d.update(edges="v1-v2"),
+                     "needs an edge list", id="string-edges"),
+        pytest.param(lambda d: d.update(edges={"u": "v1"}),
+                     "needs an edge list", id="object-edges"),
+        pytest.param(lambda d: d["edges"][0].update(u=["v1"]),
+                     "unknown vertex", id="list-endpoint"),
+        pytest.param(lambda d: d.update(domain=["int"]),
+                     "unknown domain", id="list-domain"),
+    ])
+    def test_exits_2_without_traceback(self, capsys, tmp_path, change, message):
+        doc = json.loads(json.dumps(DIAMOND_DOC))
+        change(doc)
+        code, out, err = run(capsys, "invariants", "--graph",
+                             doc_path(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 class TestDriver:

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from graphsplines import (
@@ -10,6 +12,7 @@ from graphsplines import (
     SplineConstructionError,
     ZZ,
     ZZX,
+    check_basis,
     completion,
     determinant_target,
     enumerate_trails,
@@ -86,6 +89,66 @@ class TestLeadingValues:
         g = helpers.make_graph("int", ["a", "b", "c"], [("a", "b", 2)])
         with pytest.raises(DisconnectedGraphError):
             leading_value(g, 2)
+
+    def test_only_later_neighbors_rejected(self):
+        # c reaches only d, which is later and has no other neighbor
+        g = helpers.make_graph("int", ["a", "b", "c", "d"],
+                               [("a", "b", 2), ("c", "d", 3)])
+        assert [leading_value(g, i) for i in (1, 3)] == [2, 3]
+        with pytest.raises(DisconnectedGraphError):
+            leading_value(g, 2)
+
+    def test_no_trail_enumeration(self, monkeypatch, diamond, poly_cycle):
+        import graphsplines.graphs as graphs_mod
+        import graphsplines.splines as splines_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("zero_trails called")
+
+        monkeypatch.setattr(graphs_mod, "zero_trails", forbidden)
+        monkeypatch.setattr(splines_mod, "zero_trails", forbidden)
+        assert determinant_target(diamond) == 2160
+        assert check_basis(diamond, flowup_basis(diamond)).is_basis
+        assert leading_values(poly_cycle)[2] == ZZX.parse("x^2+x")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_closure_matches_trail_oracle(self, data):
+        g = data.draw(random_graphs())
+        for i in range(g.n):
+            try:
+                want = helpers.trail_leading_value(g, i)
+            except DisconnectedGraphError:
+                with pytest.raises(DisconnectedGraphError):
+                    leading_value(g, i)
+                continue
+            got = leading_value(g, i)
+            assert got == want
+            assert g.domain.format(got) == g.domain.format(want)
+
+
+POLY_FACTORS = ["x", "x+1", "x-1", "2", "3", "x^2+1", "2*x+1", "-1"]
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs on up to seven vertices in either domain, disconnected ones
+    included; labels share factors so trail gcds are nontrivial."""
+    domain = draw(st.sampled_from(["int", "intpoly"]))
+    n = draw(st.integers(min_value=2, max_value=7))
+    names = [f"v{k}" for k in range(1, n + 1)]
+    if domain == "int":
+        labels = st.integers(min_value=-60, max_value=60).filter(bool)
+    else:
+        labels = st.lists(st.sampled_from(POLY_FACTORS), min_size=1,
+                          max_size=3).map(
+            lambda fs: ZZX.format(ZZX.product(ZZX.parse(f) for f in fs)))
+    edges = [
+        (names[u], names[v], draw(labels))
+        for u, v in itertools.combinations(range(n), 2)
+        if draw(st.booleans())
+    ]
+    return helpers.make_graph(domain, names, edges)
 
 
 class TestTrailFactorSets:
