@@ -23,7 +23,6 @@ from .graphs import (
     Trail,
     TrailLimitError,
     completion,
-    enumerate_trails,
     load_graph,
     permute_vertices,
     zero_trails,
@@ -51,9 +50,7 @@ from .basis import (
     InternalConsistencyError,
     bareiss_determinant,
     check_basis,
-    cofactor_determinant,
     determinant,
-    determinant_quotient,
     flowup_basis,
     span_coordinates,
     spline_matrix,
@@ -82,12 +79,9 @@ __all__ = [
     "ZZX",
     "bareiss_determinant",
     "check_basis",
-    "cofactor_determinant",
     "completion",
     "determinant",
-    "determinant_quotient",
     "determinant_target",
-    "enumerate_trails",
     "first_violation",
     "flowup_basis",
     "induced_spline",

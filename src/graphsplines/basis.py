@@ -4,18 +4,31 @@ flow-up oracle.
 The basis criterion: n candidate splines form a module basis exactly when
 the determinant of their spline matrix equals a unit times the graph's
 determinant target.  The determinant always has the target as an exact
-divisor, so the verdict reduces to a unit test on the quotient.
+divisor, so the verdict reduces to a unit test on the quotient.  The
+determinant and the integer span solve share one fraction-free (Bareiss)
+elimination.
 
-Over the integers the full spline module is the lattice of solutions of
-the edge congruences.  ``flowup_basis`` computes it exactly: the lattice
-is the projection of the kernel of the edge-difference system augmented
-with label-multiplied slack columns, and a row Hermite form of that
-projection is the flow-up basis.  Its diagonal must reproduce the leading
-values, which doubles as an internal cross-check.
+Over the integers the spline module is the lattice L of vectors f with
+l_e | f_u - f_v on every edge e = uv, and its row Hermite normal form is
+the flow-up basis.  ``flowup_basis`` takes the Hermite form of the
+lattice in Z^(m+n), edge columns first, generated by one row
+(D e_i | e_i) per vertex, D the edge-difference matrix, and one row
+(l_e e_e | 0) per edge.  Its rows with pivots in the vertex columns are
+zero on every edge, so their vertex parts are the Hermite basis of L.
+That lattice contains M Z^(m+n), M the lcm of the labels, so every entry
+is kept modulo M: each column adjoins M e_c (at edge column e the edge
+row l_e e_e, which is still untouched there) and carries the remainder
+row forward (Domich, Kannan and Trotter 1987; Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.4.8).  With the edge row
+at hand, an edge entry matters only modulo l_e, so a row keeps just its
+vertex part f and reads its entry at edge uv as f_u - f_v.  No entry
+exceeds M.  The diagonal must reproduce the leading values, which
+``splines`` computes by an independent path closure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,46 +64,45 @@ def spline_matrix(g: LabeledGraph, splines: Sequence[Sequence]) -> list[list]:
     return [[cols[c][g.n - 1 - r] for c in range(g.n)] for r in range(g.n)]
 
 
-def cofactor_determinant(d: Domain, rows: list[list]):
-    """Expansion along the first column; quadratic-free small-n path."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = d.zero
-    sign = 1
-    for r in range(n):
-        a = rows[r][0]
-        if not d.is_zero(a):
-            minor = [row[1:] for k, row in enumerate(rows) if k != r]
-            term = d.mul(a, cofactor_determinant(d, minor))
-            total = d.add(total, term if sign > 0 else d.neg(term))
-        sign = -sign
-    return total
+def _fraction_free_eliminate(d: Domain, m: list[list], width: int) -> int:
+    """Bareiss elimination of ``m`` in place on its first ``width`` columns.
 
-
-def bareiss_determinant(d: Domain, rows: list[list]):
-    """Fraction-free elimination; every interior division is exact."""
-    n = len(rows)
-    m = [list(row) for row in rows]
+    Afterwards row k holds the pivot of column k with zeros below it; all
+    columns are updated and every interior division is exact.  Returns the
+    sign of the row swaps, or 0 when one of those columns has no pivot,
+    that is when they are linearly dependent.
+    """
+    rows = len(m)
+    if width > rows:
+        return 0
     sign = 1
     prev = d.one
-    for k in range(n - 1):
+    for k in range(width):
         if d.is_zero(m[k][k]):
-            for r in range(k + 1, n):
+            for r in range(k + 1, rows):
                 if not d.is_zero(m[r][k]):
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return d.zero
+                return 0
         pivot = m[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
+        for r in range(k + 1, rows):
+            for c in range(k + 1, len(m[r])):
                 num = d.sub(d.mul(m[r][c], pivot), d.mul(m[r][k], m[k][c]))
                 m[r][c] = d.exact_div(num, prev)
             m[r][k] = d.zero
         prev = pivot
-    det = m[n - 1][n - 1]
+    return sign
+
+
+def bareiss_determinant(d: Domain, rows: list[list]):
+    """Fraction-free elimination; every interior division is exact."""
+    m = [list(row) for row in rows]
+    sign = _fraction_free_eliminate(d, m, len(m))
+    if not sign:
+        return d.zero
+    det = m[-1][-1]
     return det if sign > 0 else d.neg(det)
 
 
@@ -101,8 +113,6 @@ def determinant(d: Domain, rows: list[list]):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return d.one
-    if n <= 4:
-        return cofactor_determinant(d, rows)
     return bareiss_determinant(d, rows)
 
 
@@ -115,24 +125,6 @@ def _require_splines(g: LabeledGraph, splines: Sequence[Sequence]) -> None:
                 f"{g.vertex_names[e.u]}-{g.vertex_names[e.v]} "
                 f"(label {g.domain.format(e.label)}) fails"
             )
-
-
-def determinant_quotient(g: LabeledGraph, splines: Sequence[Sequence]):
-    """Exact quotient determinant / target for n candidate splines.
-
-    The division is guaranteed to come out even; a remainder means a
-    broken exactness guarantee and is reported as an internal error.
-    """
-    _require_splines(g, splines)
-    det = determinant(g.domain, spline_matrix(g, splines))
-    q = determinant_target(g)
-    try:
-        return g.domain.exact_div(det, q)
-    except ArithmeticError as exc:
-        raise InternalConsistencyError(
-            f"determinant {g.domain.format(det)} is not a multiple of the "
-            f"target {g.domain.format(q)}"
-        ) from exc
 
 
 def check_basis(g: LabeledGraph, splines: Sequence[Sequence]) -> BasisVerdict:
@@ -161,130 +153,104 @@ def check_basis(g: LabeledGraph, splines: Sequence[Sequence]) -> BasisVerdict:
     )
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return g, x, y
+def _hermite_column(rows: list[list[int]], entries: list[int], modulus: int,
+                    M: int, width: int) -> tuple[list[int], int, list[list[int]]]:
+    """One column of the Hermite elimination modulo M.
 
-
-def _row_hermite(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row echelon form over the integers with unimodular row operations.
-
-    Returns (h, u) with u * mat == h, pivots positive, entries above each
-    pivot reduced into [0, pivot), and zero rows at the bottom.
+    ``entries[k]`` is the column entry of ``rows[k]``, which matters only
+    modulo ``modulus``: modulus * e_c lies in the lattice and starts as the
+    pivot row, with vertex part zero.  Each row with a nonzero entry meets
+    the pivot in a unimodular 2x2 step.  Returns the final pivot's vertex
+    part and entry, and the remainder rows, all zero in this column.  Rows
+    are reduced modulo M, and zero rows are dropped.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    h = [list(r) for r in mat]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
-        for rr in range(r, rows):
-            if h[rr][c]:
-                pivot_row = rr
-                break
-        if pivot_row is None:
+    pivot, p = [0] * width, modulus
+    rest = []
+    for row, a in zip(rows, entries):
+        a %= modulus
+        if not a:
+            rest.append(row)
             continue
-        if pivot_row != r:
-            h[r], h[pivot_row] = h[pivot_row], h[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
-        for rr in range(r + 1, rows):
-            if not h[rr][c]:
-                continue
-            g, x, y = _xgcd(h[r][c], h[rr][c])
-            pa, pb = h[r][c] // g, h[rr][c] // g
-            h[r], h[rr] = (
-                [x * s + y * t for s, t in zip(h[r], h[rr])],
-                [-pb * s + pa * t for s, t in zip(h[r], h[rr])],
+        if a % p == 0:
+            q = a // p
+            row = [(s - q * t) % M for s, t in zip(row, pivot)]
+        elif p % a == 0:
+            q = p // a
+            row, pivot, p = [(t - q * s) % M for s, t in zip(row, pivot)], row, a
+        else:
+            g = math.gcd(a, p)
+            pa, pp = a // g, p // g
+            x = pow(pa, -1, pp)
+            y = (1 - pa * x) // pp
+            row, pivot, p = (
+                [(pp * s - pa * t) % M for s, t in zip(row, pivot)],
+                [(x * s + y * t) % M for s, t in zip(row, pivot)],
+                g,
             )
-            u[r], u[rr] = (
-                [x * s + y * t for s, t in zip(u[r], u[rr])],
-                [-pb * s + pa * t for s, t in zip(u[r], u[rr])],
-            )
-        if h[r][c] < 0:
-            h[r] = [-v for v in h[r]]
-            u[r] = [-v for v in u[r]]
-        for rr in range(r):
-            q = h[rr][c] // h[r][c]
-            if q:
-                h[rr] = [s - q * t for s, t in zip(h[rr], h[r])]
-                u[rr] = [s - q * t for s, t in zip(u[rr], u[r])]
-        r += 1
-    return h, u
+        if any(row):
+            rest.append(row)
+    return pivot, p, rest
 
 
 def flowup_basis(g: LabeledGraph) -> list[list[int]]:
-    """Flow-up basis of the integer spline lattice.
+    """Flow-up basis of the integer spline lattice: its row Hermite form.
 
-    Returns n splines; the k-th vanishes on the first k-1 vertices and its
-    value at vertex k equals that vertex's leading value, which is checked
-    and enforced.  The splines form a module basis: the lattice is solved
-    exactly, not constructed greedily.
+    Returns n splines; the k-th vanishes on the first k-1 vertices, its
+    value at vertex k is that vertex's leading value, and its values at
+    later vertices j lie in [0, lead_j).  The splines form a module basis:
+    the lattice is solved exactly, modulo the lcm of the labels (see the
+    module docstring), not constructed greedily.  The diagonal is checked
+    against ``leading_values``.
     """
     if g.domain is not ZZ:
         raise ValueError("the flow-up oracle works over the integer domain only")
     leads = leading_values(g)
-    n, m = g.n, g.m
-    # Kernel of [differences | -labels] picks out (values, slacks) with
-    # value[u] - value[v] = label * slack on every edge.
-    kt = [[0] * m for _ in range(n + m)]
+    n = g.n
+    M = ZZ.lcm_all(e.label for e in g.edges)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for e in g.edges:
-        kt[e.u][e.index] = 1
-        kt[e.v][e.index] = -1
-        kt[n + e.index][e.index] = -e.label
-    h, u = _row_hermite(kt)
-    kernel = [u[r] for r in range(n + m) if not any(h[r])]
-    if len(kernel) != n:
+        entries = [f[e.u] - f[e.v] for f in rows]
+        _, _, rows = _hermite_column(rows, entries, abs(e.label), M, n)
+    basis = []
+    for c in range(n):
+        pivot, p, rows = _hermite_column(rows, [f[c] for f in rows], M, M, n)
+        pivot[c] = p
+        basis.append(pivot)
+    for c in range(n):
+        for k in range(c):
+            q = basis[k][c] // basis[c][c]
+            if q:
+                basis[k][c:] = [s - q * t for s, t in zip(basis[k][c:], basis[c][c:])]
+    if [basis[k][k] for k in range(n)] != leads:
         raise InternalConsistencyError(
-            f"kernel rank {len(kernel)} differs from the vertex count {n}"
+            "flow-up diagonal does not reproduce the leading values"
         )
-    projected = [row[:n] for row in kernel]
-    echelon, _ = _row_hermite(projected)
-    for k in range(n):
-        if any(echelon[k][j] for j in range(k)) or echelon[k][k] != leads[k]:
-            raise InternalConsistencyError(
-                "flow-up diagonal does not reproduce the leading values"
-            )
-    return echelon
+    return basis
 
 
 def span_coordinates(g: LabeledGraph, basis: Sequence[Sequence[int]],
                      f: Sequence[int]) -> Optional[list[int]]:
     """Integer coordinates of ``f`` in the span of ``basis``, or None.
 
-    The basis vectors must be linearly independent; the system is solved
-    exactly through the Hermite form.
+    The basis vectors must be linearly independent.  The system
+    sum_k y_k basis[k] = f is solved exactly by fraction-free elimination
+    and back substitution; None when it has no integer solution.
     """
     if g.domain is not ZZ:
         raise ValueError("span coordinates are computed over the integers only")
     rows = [list(map(g.domain.coerce, b)) for b in basis]
     if len(f) != g.n or any(len(b) != g.n for b in rows):
         raise ValueError("vector lengths must match the vertex count")
-    h, u = _row_hermite(rows)
-    if any(not any(row) for row in h):
+    k = len(rows)
+    system = [[b[j] for b in rows] + [f[j]] for j in range(g.n)]
+    if not _fraction_free_eliminate(ZZ, system, k):
         raise ValueError("basis vectors are linearly dependent")
-    pivots = [next(j for j, v in enumerate(row) if v) for row in h]
-    rem = list(f)
-    y = [0] * len(rows)
-    k = 0
-    for c in range(g.n):
-        if k < len(pivots) and pivots[k] == c:
-            q, r = divmod(rem[c], h[k][c])
-            if r:
-                return None
-            y[k] = q
-            if q:
-                rem = [s - q * t for s, t in zip(rem, h[k])]
-            k += 1
-        elif rem[c]:
+    if any(system[r][k] for r in range(k, g.n)):
+        return None
+    y = [0] * k
+    for j in range(k - 1, -1, -1):
+        rhs = system[j][k] - sum(system[j][c] * y[c] for c in range(j + 1, k))
+        y[j], r = divmod(rhs, system[j][j])
+        if r:
             return None
-    return [sum(y[k] * u[k][j] for k in range(len(rows))) for j in range(len(rows))]
+    return y

@@ -203,42 +203,6 @@ def _trail(g: LabeledGraph, vertices: list[int], edges: list[int]) -> Trail:
     )
 
 
-def enumerate_trails(g: LabeledGraph, start: int, end: int,
-                     max_trails: int = DEFAULT_TRAIL_LIMIT) -> list[Trail]:
-    """Every trail from ``start`` to ``end``, lexicographic by edge indices.
-
-    A walk that reaches ``end`` is recorded and then extended further,
-    since trails may pass through their endpoint and return to it.
-    """
-    if start == end:
-        raise ValueError("trail endpoints must differ")
-    results: list[Trail] = []
-    used = [False] * g.m
-    path_vertices = [start]
-    path_edges: list[int] = []
-
-    def visit(v: int) -> None:
-        for edge_index, w in g.neighbors(v):
-            if used[edge_index]:
-                continue
-            used[edge_index] = True
-            path_edges.append(edge_index)
-            path_vertices.append(w)
-            if w == end:
-                if len(results) >= max_trails:
-                    raise TrailLimitError(
-                        f"more than {max_trails} trails; raise the cap to continue"
-                    )
-                results.append(_trail(g, path_vertices, path_edges))
-            visit(w)
-            path_vertices.pop()
-            path_edges.pop()
-            used[edge_index] = False
-
-    visit(start)
-    return results
-
-
 def zero_trails(g: LabeledGraph, i: int,
                 max_trails: int = DEFAULT_TRAIL_LIMIT) -> list[Trail]:
     """Containment-reduced zero trails of vertex ``i`` (0-based, ``i >= 1``).

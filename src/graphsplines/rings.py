@@ -20,6 +20,27 @@ import math
 import re
 from typing import Iterable
 
+# Largest exponent ZZX.parse accepts: a label of degree N takes N+1
+# coefficient slots, so the cap bounds what one label can allocate.
+MAX_DEGREE = 10_000
+
+
+def _decimal(digits: str) -> int:
+    """Value of a validated decimal string of any length.
+
+    ``int`` refuses strings longer than the interpreter's int/str digit
+    limit; those are split in halves and recombined arithmetically, so the
+    limit is neither hit nor changed.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    if digits[0] in "+-":
+        return (-1 if digits[0] == "-" else 1) * _decimal(digits[1:])
+    half = len(digits) // 2
+    return _decimal(digits[:-half]) * 10 ** half + _decimal(digits[-half:])
+
 
 class RingParseError(ValueError):
     """Text that does not encode an element of the requested domain."""
@@ -211,7 +232,7 @@ class IntegerDomain(Domain):
         m = re.fullmatch(r"[+-]?[0-9]+", text.strip())
         if m is None:
             raise RingParseError(f"not an integer: {text!r}")
-        return int(m.group())
+        return _decimal(m.group())
 
     def format(self, a: int) -> str:
         return str(a)
@@ -292,10 +313,15 @@ class IntPolyDomain(Domain):
             if m is None:
                 raise RingParseError(f"bad term {tok[1:]!r} in {text!r}")
             if m.group(3) is not None:
-                exp, coeff = 0, int(m.group(3))
+                exp, coeff = 0, _decimal(m.group(3))
             else:
-                coeff = int(m.group(1)) if m.group(1) else 1
-                exp = int(m.group(2)) if m.group(2) else 1
+                coeff = _decimal(m.group(1)) if m.group(1) else 1
+                exp = _decimal(m.group(2)) if m.group(2) else 1
+                if exp > MAX_DEGREE:
+                    raise RingParseError(
+                        f"exponent {m.group(2)} in {text!r} exceeds the degree "
+                        f"cap {MAX_DEGREE}"
+                    )
             coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
         out = [0] * (max(coeffs) + 1)
         for exp, c in coeffs.items():

@@ -3,18 +3,27 @@
 The oracles here deliberately re-derive results through different
 algorithms than the package uses: determinants by first-row cofactor
 expansion, zero trails by full trail enumeration plus explicit edge-set
-pruning, leading values from the listed zero trails, and trail counts by
-dynamic programming over used-edge sets.
+pruning, leading values from the listed zero trails, trail counts by
+dynamic programming over used-edge sets, and the flow-up basis and span
+coordinates through a Hermite form over the integers that tracks its
+unimodular transform.
 """
 
 import itertools
+import math
 import random
+from typing import Optional, Sequence
 
 from graphsplines import (
+    DEFAULT_TRAIL_LIMIT,
+    ZZ,
     DisconnectedGraphError,
+    InternalConsistencyError,
     LabeledGraph,
+    Trail,
+    TrailLimitError,
     completion,
-    enumerate_trails,
+    leading_values,
     load_graph,
     zero_trails,
 )
@@ -118,6 +127,25 @@ def random_complete_graph(rng: random.Random, n: int, max_label: int = 30,
     ])
 
 
+SMALL_PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+
+
+def random_sparse_graph(rng: random.Random, n: int, m: int) -> LabeledGraph:
+    """Random spanning tree plus random extra edges, m edges in all.
+
+    Labels are products of one to three primes below 100, so their lcm
+    divides the product of those primes (121 bits) however large the
+    graph is."""
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    names = [f"v{k}" for k in range(1, n + 1)]
+    return make_graph("int", names, [
+        (names[u], names[v], math.prod(rng.sample(SMALL_PRIMES, rng.randint(1, 3))))
+        for u, v in sorted(pairs)
+    ])
+
+
 def naive_cofactor_det(domain, rows):
     """First-row Laplace expansion; no pivoting, no shared code path."""
     n = len(rows)
@@ -134,6 +162,47 @@ def naive_cofactor_det(domain, rows):
         term = domain.mul(a, naive_cofactor_det(domain, minor))
         total = domain.add(total, term) if c % 2 == 0 else domain.sub(total, term)
     return total
+
+
+def enumerate_trails(g: LabeledGraph, start: int, end: int,
+                     max_trails: int = DEFAULT_TRAIL_LIMIT) -> list[Trail]:
+    """Every trail from ``start`` to ``end``, lexicographic by edge indices.
+
+    Exponential in the graph size; the package lists only the reduced
+    zero trails (``zero_trails``), and the tests use this full listing to
+    check them.
+
+    A walk that reaches ``end`` is recorded and then extended further,
+    since trails may pass through their endpoint and return to it.
+    """
+    if start == end:
+        raise ValueError("trail endpoints must differ")
+    results: list[Trail] = []
+    used = [False] * g.m
+    path_vertices = [start]
+    path_edges: list[int] = []
+
+    def visit(v: int) -> None:
+        for edge_index, w in g.neighbors(v):
+            if used[edge_index]:
+                continue
+            used[edge_index] = True
+            path_edges.append(edge_index)
+            path_vertices.append(w)
+            if w == end:
+                if len(results) >= max_trails:
+                    raise TrailLimitError(
+                        f"more than {max_trails} trails; raise the cap to continue"
+                    )
+                results.append(Trail(start, w, tuple(path_edges), tuple(path_vertices),
+                                     g.domain.gcd_all(g.edges[k].label for k in path_edges)))
+            visit(w)
+            path_vertices.pop()
+            path_edges.pop()
+            used[edge_index] = False
+
+    visit(start)
+    return results
 
 
 def brute_zero_trails(g: LabeledGraph, i: int):
@@ -219,3 +288,141 @@ def combine_columns(splines, coef):
 
 def completion_pair(g):
     return g, completion(g)
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return g, x, y
+
+
+def row_hermite(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row echelon form over the integers with unimodular row operations.
+
+    Returns (h, u) with u * mat == h, pivots positive, entries above each
+    pivot reduced into [0, pivot), and zero rows at the bottom.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    h = [list(r) for r in mat]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = None
+        for rr in range(r, rows):
+            if h[rr][c]:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            h[r], h[pivot_row] = h[pivot_row], h[r]
+            u[r], u[pivot_row] = u[pivot_row], u[r]
+        for rr in range(r + 1, rows):
+            if not h[rr][c]:
+                continue
+            g, x, y = xgcd(h[r][c], h[rr][c])
+            pa, pb = h[r][c] // g, h[rr][c] // g
+            h[r], h[rr] = (
+                [x * s + y * t for s, t in zip(h[r], h[rr])],
+                [-pb * s + pa * t for s, t in zip(h[r], h[rr])],
+            )
+            u[r], u[rr] = (
+                [x * s + y * t for s, t in zip(u[r], u[rr])],
+                [-pb * s + pa * t for s, t in zip(u[r], u[rr])],
+            )
+        if h[r][c] < 0:
+            h[r] = [-v for v in h[r]]
+            u[r] = [-v for v in u[r]]
+        for rr in range(r):
+            q = h[rr][c] // h[r][c]
+            if q:
+                h[rr] = [s - q * t for s, t in zip(h[rr], h[r])]
+                u[rr] = [s - q * t for s, t in zip(u[rr], u[r])]
+        r += 1
+    return h, u
+
+
+def kernel_flowup_basis(g: LabeledGraph) -> list[list[int]]:
+    """Flow-up basis of the integer spline lattice, the kernel way.
+
+    Reference for ``basis.flowup_basis``: the lattice is the projection of
+    the kernel of the edge-difference system augmented with
+    label-multiplied slack columns, found by a row Hermite form that
+    tracks its unimodular transform, whose entries grow to thousands of
+    bits by n = 16.
+
+    Returns n splines; the k-th vanishes on the first k-1 vertices and its
+    value at vertex k equals that vertex's leading value, which is checked
+    and enforced.  The splines form a module basis: the lattice is solved
+    exactly, not constructed greedily.
+    """
+    if g.domain is not ZZ:
+        raise ValueError("the flow-up oracle works over the integer domain only")
+    leads = leading_values(g)
+    n, m = g.n, g.m
+    # Kernel of [differences | -labels] picks out (values, slacks) with
+    # value[u] - value[v] = label * slack on every edge.
+    kt = [[0] * m for _ in range(n + m)]
+    for e in g.edges:
+        kt[e.u][e.index] = 1
+        kt[e.v][e.index] = -1
+        kt[n + e.index][e.index] = -e.label
+    h, u = row_hermite(kt)
+    kernel = [u[r] for r in range(n + m) if not any(h[r])]
+    if len(kernel) != n:
+        raise InternalConsistencyError(
+            f"kernel rank {len(kernel)} differs from the vertex count {n}"
+        )
+    projected = [row[:n] for row in kernel]
+    echelon, _ = row_hermite(projected)
+    for k in range(n):
+        if any(echelon[k][j] for j in range(k)) or echelon[k][k] != leads[k]:
+            raise InternalConsistencyError(
+                "flow-up diagonal does not reproduce the leading values"
+            )
+    return echelon
+
+
+def hermite_span_coordinates(g: LabeledGraph, basis: Sequence[Sequence[int]],
+                             f: Sequence[int]) -> Optional[list[int]]:
+    """Integer coordinates of ``f`` in the span of ``basis``, or None.
+
+    Reference for ``basis.span_coordinates``, read off the transform of
+    the Hermite form.
+
+    The basis vectors must be linearly independent; the system is solved
+    exactly through the Hermite form.
+    """
+    if g.domain is not ZZ:
+        raise ValueError("span coordinates are computed over the integers only")
+    rows = [list(map(g.domain.coerce, b)) for b in basis]
+    if len(f) != g.n or any(len(b) != g.n for b in rows):
+        raise ValueError("vector lengths must match the vertex count")
+    h, u = row_hermite(rows)
+    if any(not any(row) for row in h):
+        raise ValueError("basis vectors are linearly dependent")
+    pivots = [next(j for j, v in enumerate(row) if v) for row in h]
+    rem = list(f)
+    y = [0] * len(rows)
+    k = 0
+    for c in range(g.n):
+        if k < len(pivots) and pivots[k] == c:
+            q, r = divmod(rem[c], h[k][c])
+            if r:
+                return None
+            y[k] = q
+            if q:
+                rem = [s - q * t for s, t in zip(rem, h[k])]
+            k += 1
+        elif rem[c]:
+            return None
+    return [sum(y[k] * u[k][j] for k in range(len(rows))) for j in range(len(rows))]

@@ -1,18 +1,20 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from graphsplines import (
+    DisconnectedGraphError,
     InternalConsistencyError,
     ZZ,
     ZZX,
     bareiss_determinant,
     check_basis,
-    cofactor_determinant,
     completion,
     determinant,
-    determinant_quotient,
     determinant_target,
     flowup_basis,
     is_spline,
@@ -42,8 +44,14 @@ class TestDeterminant:
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 expected = helpers.naive_cofactor_det(ZZ, rows)
                 assert bareiss_determinant(ZZ, rows) == expected
-                assert cofactor_determinant(ZZ, rows) == expected
                 assert determinant(ZZ, rows) == expected
+
+    def test_small_sizes_match_cofactor(self):
+        rng = random.Random(317)
+        for n in (1, 2, 3):
+            for _ in range(8):
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                assert determinant(ZZ, rows) == helpers.naive_cofactor_det(ZZ, rows)
 
     def test_bareiss_matches_cofactor_polynomials(self):
         rng = random.Random(313)
@@ -69,20 +77,20 @@ class TestDeterminant:
 
 class TestDeterminantQuotient:
     def test_diamond_flowups_quotient_four(self, diamond):
-        assert abs(determinant_quotient(diamond, DIAMOND_FLOWUPS)) == 4
+        assert abs(check_basis(diamond, DIAMOND_FLOWUPS).quotient) == 4
 
     def test_oracle_quotient_is_unit(self, diamond):
-        assert abs(determinant_quotient(diamond, flowup_basis(diamond))) == 1
+        assert abs(check_basis(diamond, flowup_basis(diamond)).quotient) == 1
 
     def test_repeated_column_quotient_zero(self, diamond):
         cols = [DIAMOND_FLOWUPS[0], DIAMOND_FLOWUPS[0],
                 DIAMOND_FLOWUPS[2], DIAMOND_FLOWUPS[3]]
-        assert determinant_quotient(diamond, cols) == 0
+        assert check_basis(diamond, cols).quotient == 0
 
     def test_non_spline_column_rejected(self, diamond):
         with pytest.raises(ValueError, match="not a spline"):
-            determinant_quotient(diamond, [[1, 1, 1, 1], [0, 1, 0, 0],
-                                           [0, 0, 8, 0], [0, 0, 0, 36]])
+            check_basis(diamond, [[1, 1, 1, 1], [0, 1, 0, 0],
+                                  [0, 0, 8, 0], [0, 0, 0, 36]])
 
 
 class TestCheckBasis:
@@ -164,6 +172,81 @@ class TestFlowupBasis:
             rng.shuffle(perm)
             h = permute_vertices(g, perm)
             assert determinant_target(h) == determinant_target(g)
+
+
+    def test_wall_n64_m128(self):
+        g = helpers.random_sparse_graph(random.Random(64128), 64, 128)
+        rows = flowup_basis(g)
+        lcm = ZZ.lcm_all(e.label for e in g.edges)
+        assert [rows[k][k] for k in range(g.n)] == leading_values(g)
+        for k, row in enumerate(rows):
+            assert not any(row[:k])
+            assert all(0 <= v <= lcm for v in row)
+            assert is_spline(g, row)
+
+
+LABELS = st.one_of(st.sampled_from([1, -1, 2, -2, 6, 12, -30, 35]),
+                   st.integers(min_value=-1000, max_value=1000).filter(bool))
+
+
+@st.composite
+def int_graphs(draw):
+    """Integer graphs on up to nine vertices, most of them built on a
+    spanning tree, disconnected ones included; labels of both signs, units
+    and repeats among them."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    names = [f"v{k}" for k in range(1, n + 1)]
+    pairs = set()
+    if n > 1:
+        if draw(st.integers(min_value=0, max_value=3)):
+            pairs = {(draw(st.integers(min_value=0, max_value=v - 1)), v)
+                     for v in range(1, n)}
+        pairs |= set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                                   max_size=n + 2)))
+    return helpers.make_graph("int", names, [
+        (names[u], names[v], draw(LABELS)) for u, v in sorted(pairs)
+    ])
+
+
+class TestKernelOracle:
+    """The Hermite form taken modulo the label lcm and the fraction-free
+    span solve against the kernel construction and the transform-tracking
+    span solve in ``helpers``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flowup_and_span_match(self, data):
+        g = data.draw(int_graphs())
+        try:
+            want = helpers.kernel_flowup_basis(g)
+        except DisconnectedGraphError:
+            with pytest.raises(DisconnectedGraphError):
+                flowup_basis(g)
+            return
+        base = flowup_basis(g)
+        assert base == want
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+        n = g.n
+        recombined = helpers.combine_columns(base, helpers.random_unimodular(rng, n))
+        scaled = [list(b) for b in base]
+        k = rng.randrange(n)
+        scaled[k] = [rng.choice([2, 3, 5, -6]) * v for v in scaled[k]]
+        partial = base[:rng.randrange(n)]
+        for b in (base, recombined, scaled, partial):
+            coeffs = [rng.randint(-5, 5) for _ in b]
+            member = [sum(c * row[j] for c, row in zip(coeffs, b)) for j in range(n)]
+            probes = [member, [rng.randint(-50, 50) for _ in range(n)]]
+            probes += [member[:j] + [member[j] + 1] + member[j + 1:] for j in range(n)]
+            for f in probes:
+                assert (span_coordinates(g, b, f)
+                        == helpers.hermite_span_coordinates(g, b, f))
+            assert span_coordinates(g, b, member) == coeffs
+            if b:
+                dependent = [list(row) for row in b]
+                dependent[-1] = [sum(col) for col in zip(*b[:-1])] or [0] * n
+                for solve in (span_coordinates, helpers.hermite_span_coordinates):
+                    with pytest.raises(ValueError, match="dependent"):
+                        solve(g, dependent, member)
 
 
 class TestSpanCoordinates:

@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from graphsplines.cli import main
+from graphsplines.rings import MAX_DEGREE
 
 DIAMOND_DOC = helpers.graph_doc("int", ["v1", "v2", "v3", "v4"], [
     ("v1", "v2", 5), ("v1", "v3", 4), ("v1", "v4", 6),
@@ -341,6 +342,9 @@ class TestMalformedDocuments:
                      "unknown vertex", id="list-endpoint"),
         pytest.param(lambda d: d.update(domain=["int"]),
                      "unknown domain", id="list-domain"),
+        pytest.param(lambda d: d.update(domain="intpoly", edges=[
+                         {"u": "v1", "v": "v2", "label": f"x^{MAX_DEGREE + 1}"}]),
+                     f"exponent {MAX_DEGREE + 1} ", id="degree-cap"),
     ])
     def test_exits_2_without_traceback(self, capsys, tmp_path, change, message):
         doc = json.loads(json.dumps(DIAMOND_DOC))

@@ -4,11 +4,11 @@ import random
 import pytest
 
 import helpers
+from helpers import enumerate_trails
 from graphsplines import (
     GraphDocumentError,
     TrailLimitError,
     completion,
-    enumerate_trails,
     load_graph,
     permute_vertices,
     zero_trails,
@@ -53,6 +53,15 @@ class TestLoadGraph:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(GraphDocumentError, match="distinct"):
             load_graph({"domain": "int", "vertices": ["a", "a"], "edges": []})
+
+    def test_label_past_the_int_str_digit_limit(self):
+        big = "1" + "0" * 4998 + "7"
+        g = load_graph(helpers.graph_doc("int", ["a", "b"], [("a", "b", big)]))
+        assert g.edges[0].label == 10 ** 4999 + 7
+
+    def test_degree_cap_rejected(self):
+        with pytest.raises(GraphDocumentError, match="exponent 20000 "):
+            helpers.make_graph("intpoly", ["a", "b"], [("a", "b", "x^20000")])
 
 
 class TestCompletion:

@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsplines.rings import (
+    MAX_DEGREE,
     ExactDivisionError,
     IntPoly,
     RingParseError,
@@ -161,3 +164,29 @@ class TestPolynomialProperties:
     @given(p=nonzero_polys, q=nonzero_polys, g=nonzero_polys)
     def test_common_factor_detected(self, p, q, g):
         assert ZZX.divides(ZZX.canonical(g), ZZX.gcd(p * g, q * g))
+
+
+class TestParseLimits:
+    # 10^4999 + 7 has more digits than the interpreter's default int/str
+    # limit of 4300.
+    BIG = "1" + "0" * 4998 + "7"
+    BIG_VALUE = 10 ** 4999 + 7
+
+    def test_digits_past_the_int_str_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert ZZ.parse(self.BIG) == self.BIG_VALUE
+            assert ZZ.parse(f" -{self.BIG} ") == -self.BIG_VALUE
+            assert ZZX.parse(f"{self.BIG}*x^2 - {self.BIG}").coeffs == (
+                -self.BIG_VALUE, 0, self.BIG_VALUE)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_degree_cap(self):
+        assert ZZX.parse(f"x^{MAX_DEGREE} + 1").degree == MAX_DEGREE
+        for text in (f"3*x^{MAX_DEGREE + 1} + 1", f"x^{MAX_DEGREE}0"):
+            exponent = text.split("^")[1].split()[0]
+            with pytest.raises(RingParseError, match=f"exponent {exponent} "):
+                ZZX.parse(text)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import enumerate_trails
 from graphsplines import (
     DisconnectedGraphError,
     SplineConstructionError,
@@ -15,7 +16,6 @@ from graphsplines import (
     check_basis,
     completion,
     determinant_target,
-    enumerate_trails,
     first_violation,
     flowup_basis,
     induced_spline,
