@@ -24,14 +24,12 @@ from .graphs import (
     TrailLimitError,
     completion,
     load_graph,
-    permute_vertices,
     zero_trails,
 )
 from .splines import (
     DisconnectedGraphError,
     Selection,
     SplineConstructionError,
-    TrailFactors,
     determinant_target,
     first_violation,
     induced_spline,
@@ -43,12 +41,10 @@ from .splines import (
     selection_spline,
     single_vertex_spline,
     top_spline,
-    trail_factor_sets,
 )
 from .basis import (
     BasisVerdict,
     InternalConsistencyError,
-    bareiss_determinant,
     check_basis,
     determinant,
     flowup_basis,
@@ -73,11 +69,9 @@ __all__ = [
     "Selection",
     "SplineConstructionError",
     "Trail",
-    "TrailFactors",
     "TrailLimitError",
     "ZZ",
     "ZZX",
-    "bareiss_determinant",
     "check_basis",
     "completion",
     "determinant",
@@ -90,13 +84,11 @@ __all__ = [
     "leading_values",
     "load_graph",
     "minimal_selections",
-    "permute_vertices",
     "selection_from_labels",
     "selection_spline",
     "single_vertex_spline",
     "span_coordinates",
     "spline_matrix",
     "top_spline",
-    "trail_factor_sets",
     "zero_trails",
 ]

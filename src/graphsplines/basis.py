@@ -4,9 +4,10 @@ flow-up oracle.
 The basis criterion: n candidate splines form a module basis exactly when
 the determinant of their spline matrix equals a unit times the graph's
 determinant target.  The determinant always has the target as an exact
-divisor, so the verdict reduces to a unit test on the quotient.  The
-determinant and the integer span solve share one fraction-free (Bareiss)
-elimination.
+divisor, so the verdict reduces to a unit test on the quotient.  There
+is one determinant path, ``determinant``, at every size including the
+empty matrix; it and the integer span solve share one fraction-free
+(Bareiss) elimination.
 
 Over the integers the spline module is the lattice L of vectors f with
 l_e | f_u - f_v on every edge e = uv, and its row Hermite normal form is
@@ -96,24 +97,17 @@ def _fraction_free_eliminate(d: Domain, m: list[list], width: int) -> int:
     return sign
 
 
-def bareiss_determinant(d: Domain, rows: list[list]):
-    """Fraction-free elimination; every interior division is exact."""
+def determinant(d: Domain, rows: list[list]):
+    """Exact determinant over an integral domain, sign preserved, by
+    fraction-free elimination; the empty matrix has determinant one."""
     m = [list(row) for row in rows]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("determinant needs a square matrix")
     sign = _fraction_free_eliminate(d, m, len(m))
     if not sign:
         return d.zero
-    det = m[-1][-1]
+    det = m[-1][-1] if m else d.one
     return det if sign > 0 else d.neg(det)
-
-
-def determinant(d: Domain, rows: list[list]):
-    """Exact determinant over an integral domain, sign preserved."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return d.one
-    return bareiss_determinant(d, rows)
 
 
 def _require_splines(g: LabeledGraph, splines: Sequence[Sequence]) -> None:

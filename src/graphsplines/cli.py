@@ -33,6 +33,8 @@ def _load_spline(path: str, g: graphs.LabeledGraph) -> list:
     values = doc["values"]
     if not isinstance(values, list) or len(values) != g.n:
         raise ValueError(f"{path}: expected {g.n} values")
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{path}: spline values must be strings")
     return [g.domain.parse(v) for v in values]
 
 
@@ -305,19 +307,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # Exact results such as q_g can exceed the interpreter's default
-    # int/str digit limit; lift it for this call only, so in-process
-    # callers keep their own setting.
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, RuntimeError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

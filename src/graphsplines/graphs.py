@@ -176,22 +176,6 @@ def completion(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.domain, g.vertex_names, edges)
 
 
-def permute_vertices(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
-    """Reindex vertices; ``perm[old]`` is the new position of vertex ``old``."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("permutation must be a bijection on the vertex indices")
-    names = [""] * g.n
-    for old, new in enumerate(perm):
-        names[new] = g.vertex_names[old]
-    edges = []
-    for e in g.edges:
-        u, v = perm[e.u], perm[e.v]
-        if u > v:
-            u, v = v, u
-        edges.append(Edge(e.index, u, v, e.label))
-    return LabeledGraph(g.domain, names, edges)
-
-
 def _trail(g: LabeledGraph, vertices: list[int], edges: list[int]) -> Trail:
     labels = [g.edges[k].label for k in edges]
     return Trail(

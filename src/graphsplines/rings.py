@@ -42,6 +42,26 @@ def _decimal(digits: str) -> int:
     return _decimal(digits[:-half]) * 10 ** half + _decimal(digits[-half:])
 
 
+def _decimal_text(a: int) -> str:
+    """Decimal text of an int of any size; the inverse of ``_decimal``.
+
+    ``str`` refuses ints longer than the interpreter's int/str digit
+    limit; those are split at a power of ten into halves printed on their
+    own, so the limit is neither hit nor changed.
+    """
+    try:
+        return str(a)
+    except ValueError:
+        pass
+    if a < 0:
+        return "-" + _decimal_text(-a)
+    # A little under half the decimal digits (log10(2) / 2 > 3/20), so
+    # ``high`` is never zero.
+    half = a.bit_length() * 3 // 20
+    high, low = divmod(a, 10 ** half)
+    return _decimal_text(high) + _decimal_text(low).zfill(half)
+
+
 class RingParseError(ValueError):
     """Text that does not encode an element of the requested domain."""
 
@@ -190,12 +210,26 @@ def _poly_exact_div(a: IntPoly, b: IntPoly):
 class Domain:
     """Arithmetic of one GCD domain; values are opaque to callers.
 
-    Subclasses supply the element-level operations.  Collections fold
-    pairwise with canonicalization after each step, so set-wise gcd and
-    lcm are order-independent up to the canonical associate.
+    Elements of both domains support ``+``, ``-`` and ``*``, so the ring
+    operations live here; subclasses supply parsing, text, canonical
+    associates, gcd, lcm and exact division.  Collections fold pairwise
+    with canonicalization after each step, so set-wise gcd and lcm are
+    order-independent up to the canonical associate.
     """
 
     name = "?"
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
 
     def gcd_all(self, items) :
         out = self.zero
@@ -235,7 +269,7 @@ class IntegerDomain(Domain):
         return _decimal(m.group())
 
     def format(self, a: int) -> str:
-        return str(a)
+        return _decimal_text(a)
 
     def canonical(self, a: int) -> int:
         return abs(a)
@@ -245,18 +279,6 @@ class IntegerDomain(Domain):
 
     def is_unit(self, a: int) -> bool:
         return a in (1, -1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def gcd(self, a: int, b: int) -> int:
         return math.gcd(a, b)
@@ -276,7 +298,9 @@ class IntegerDomain(Domain):
             raise ExactDivisionError("division by zero")
         q, r = divmod(a, b)
         if r:
-            raise ExactDivisionError(f"{b} does not divide {a}")
+            raise ExactDivisionError(
+                f"{self.format(b)} does not divide {self.format(a)}"
+            )
         return q
 
 
@@ -336,13 +360,13 @@ class IntPolyDomain(Domain):
             c = a.coeffs[k]
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = _decimal_text(abs(c))
             if k == 0:
-                body = str(mag)
+                body = mag
             elif k == 1:
-                body = "x" if mag == 1 else f"{mag}*x"
+                body = "x" if mag == "1" else f"{mag}*x"
             else:
-                body = f"x^{k}" if mag == 1 else f"{mag}*x^{k}"
+                body = f"x^{k}" if mag == "1" else f"{mag}*x^{k}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -359,18 +383,6 @@ class IntPolyDomain(Domain):
 
     def is_unit(self, a: IntPoly) -> bool:
         return a.degree == 0 and a.coeffs[0] in (1, -1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def gcd(self, a: IntPoly, b: IntPoly) -> IntPoly:
         if a.is_zero:

@@ -12,6 +12,9 @@ A selection at vertex i picks one edge from every zero trail of length
 greater than one.  Each pick contributes the quotient of its label by the
 trail gcd; the product of those quotients times the leading value is the
 nonzero value used by the spline constructions at the end of the module.
+``minimal_selections`` and ``selection_from_labels`` share one path: a
+per-vertex context lists the long trails, the leading value and a key per
+label once, and turns each label set into a ``Selection``.
 """
 
 from __future__ import annotations
@@ -116,32 +119,6 @@ def determinant_target(g: LabeledGraph):
     return d.canonical(d.product(leading_values(g)))
 
 
-@dataclass(frozen=True)
-class TrailFactors:
-    """Quotients label/trail-gcd for one zero trail of length > 1."""
-
-    trail: Trail
-    factors: tuple
-
-
-def trail_factor_sets(g: LabeledGraph, i: int) -> list[TrailFactors]:
-    """Factor sets of the long zero trails of vertex ``i``.
-
-    The factors of one trail always have unit gcd, since the trail gcd has
-    been divided out of every label.
-    """
-    if not 1 <= i < g.n:
-        raise ValueError(f"vertex index {i} out of range")
-    d = g.domain
-    out = []
-    for t in zero_trails(g, i):
-        if len(t.edges) <= 1:
-            continue
-        factors = tuple(d.exact_div(g.edges[k].label, t.gcd) for k in t.edges)
-        out.append(TrailFactors(t, factors))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Selection:
     """One chosen edge per long zero trail of a vertex.
@@ -163,15 +140,6 @@ class Selection:
     product: object
     value: object
     h_edges: frozenset = field(repr=False)
-
-
-def _label_keys(g: LabeledGraph) -> dict:
-    """Map each canonical label to the smallest edge index carrying it."""
-    keys: dict = {}
-    for e in g.edges:
-        c = g.domain.canonical(e.label)
-        keys.setdefault(c, e.index)
-    return keys
 
 
 def _minimal_hitting_sets(trail_keysets: list[tuple[int, ...]]) -> list[frozenset[int]]:
@@ -251,37 +219,49 @@ def _assign_edges(g: LabeledGraph, trails: Sequence[Trail],
     return choice
 
 
-def _build_selection(g: LabeledGraph, i: int, trails: Sequence[Trail],
-                     choice: Sequence[int], lead, key_of: dict) -> Selection:
-    """``lead`` is the leading value of ``i`` and ``key_of`` the map from
-    ``_label_keys``; both are per-vertex, so callers compute them once."""
-    d = g.domain
-    factors = tuple(
-        d.exact_div(g.edges[e].label, t.gcd) for t, e in zip(trails, choice)
-    )
-    label_set = {d.canonical(g.edges[e].label) for e in choice}
-    labels = tuple(sorted(label_set, key=lambda c: key_of[c]))
-    product = d.canonical(d.product(factors))
-    value = d.canonical(d.mul(product, lead))
-    h_edges = frozenset(
-        e.index for e in g.edges if d.canonical(e.label) in label_set
-    )
-    return Selection(
-        graph=g,
-        vertex=i,
-        trails=tuple(trails),
-        chosen=tuple(choice),
-        factors=factors,
-        labels=labels,
-        product=product,
-        value=value,
-        h_edges=h_edges,
-    )
+class _VertexSelections:
+    """What every selection at vertex ``i`` shares, built once: the long
+    zero trails, the leading value, and the key of each label, the
+    smallest edge index carrying its canonical associate."""
 
+    def __init__(self, g: LabeledGraph, i: int, max_trails: int):
+        if not 1 <= i <= g.n - 2:
+            raise ValueError(
+                f"selections exist for vertex indices 1..{g.n - 2}, got {i}"
+            )
+        d = g.domain
+        self.graph, self.vertex = g, i
+        self.key: dict = {}
+        for e in g.edges:
+            self.key.setdefault(d.canonical(e.label), e.index)
+        self.edge_key = [self.key[d.canonical(e.label)] for e in g.edges]
+        self.trails = tuple(
+            t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
+        )
+        self.lead = leading_value(g, i)
 
-def _long_trails(g: LabeledGraph, i: int,
-                 max_trails: int = DEFAULT_TRAIL_LIMIT) -> tuple[Trail, ...]:
-    return tuple(t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1)
+    def select(self, keyset: frozenset[int]) -> Selection:
+        """The selection whose label keys are ``keyset``, edges assigned by
+        ``_assign_edges``."""
+        g, d, trails = self.graph, self.graph.domain, self.trails
+        choice = _assign_edges(g, trails, keyset, self.edge_key)
+        factors = tuple(
+            d.exact_div(g.edges[e].label, t.gcd) for t, e in zip(trails, choice)
+        )
+        product = d.canonical(d.product(factors))
+        return Selection(
+            graph=g,
+            vertex=self.vertex,
+            trails=trails,
+            chosen=tuple(choice),
+            factors=factors,
+            labels=tuple(d.canonical(g.edges[k].label) for k in sorted(keyset)),
+            product=product,
+            value=d.canonical(d.mul(product, self.lead)),
+            h_edges=frozenset(
+                e.index for e in g.edges if self.edge_key[e.index] in keyset
+            ),
+        )
 
 
 def minimal_selections(g: LabeledGraph, i: int,
@@ -293,22 +273,9 @@ def minimal_selections(g: LabeledGraph, i: int,
     trail, and a minimal such set is realized by picking, per trail, the
     lowest-indexed edge whose label it contains.
     """
-    if not 1 <= i <= g.n - 2:
-        raise ValueError(
-            f"selections exist for vertex indices 1..{g.n - 2}, got {i}"
-        )
-    trails = _long_trails(g, i, max_trails)
-    lead = leading_value(g, i)
-    key_of = _label_keys(g)
-    if not trails:
-        return [_build_selection(g, i, (), (), lead, key_of)]
-    key_of_edge = {e.index: key_of[g.domain.canonical(e.label)] for e in g.edges}
-    keysets = [tuple(sorted({key_of_edge[k] for k in t.edges})) for t in trails]
-    out = []
-    for s in _minimal_hitting_sets(keysets):
-        choice = _assign_edges(g, trails, s, key_of_edge)
-        out.append(_build_selection(g, i, trails, choice, lead, key_of))
-    return out
+    at = _VertexSelections(g, i, max_trails)
+    keysets = [tuple(sorted({at.edge_key[k] for k in t.edges})) for t in at.trails]
+    return [at.select(s) for s in _minimal_hitting_sets(keysets)]
 
 
 def selection_from_labels(g: LabeledGraph, i: int, labels,
@@ -318,27 +285,15 @@ def selection_from_labels(g: LabeledGraph, i: int, labels,
     Raises ValueError when some long trail carries none of the labels or
     some label cannot be realized by any assignment.
     """
-    if not 1 <= i <= g.n - 2:
-        raise ValueError(
-            f"selections exist for vertex indices 1..{g.n - 2}, got {i}"
-        )
+    at = _VertexSelections(g, i, max_trails)
     d = g.domain
-    key_of = _label_keys(g)
     keyset = set()
     for lab in labels:
         c = d.canonical(d.coerce(lab))
-        if c not in key_of:
+        if c not in at.key:
             raise ValueError(f"no edge carries the label {d.format(c)}")
-        keyset.add(key_of[c])
-    trails = _long_trails(g, i, max_trails)
-    if not trails:
-        if keyset:
-            raise ValueError("vertex has no long zero trail; only the empty "
-                             "label set is realizable")
-        return _build_selection(g, i, (), (), leading_value(g, i), key_of)
-    key_of_edge = {e.index: key_of[d.canonical(e.label)] for e in g.edges}
-    choice = _assign_edges(g, trails, frozenset(keyset), key_of_edge)
-    return _build_selection(g, i, trails, choice, leading_value(g, i), key_of)
+        keyset.add(at.key[c])
+    return at.select(frozenset(keyset))
 
 
 def _check_output(g: LabeledGraph, values: list, what: str) -> list:

@@ -3,21 +3,25 @@
 The oracles here deliberately re-derive results through different
 algorithms than the package uses: determinants by first-row cofactor
 expansion, zero trails by full trail enumeration plus explicit edge-set
-pruning, leading values from the listed zero trails, trail counts by
-dynamic programming over used-edge sets, and the flow-up basis and span
+pruning, leading values from the listed zero trails, the selection
+factors of every edge of every long zero trail, trail counts by dynamic
+programming over used-edge sets, and the flow-up basis and span
 coordinates through a Hermite form over the integers that tracks its
-unimodular transform.
+unimodular transform.  ``permute_vertices`` reorders a graph for the
+invariance tests.
 """
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from graphsplines import (
     DEFAULT_TRAIL_LIMIT,
     ZZ,
     DisconnectedGraphError,
+    Edge,
     InternalConsistencyError,
     LabeledGraph,
     Trail,
@@ -146,6 +150,22 @@ def random_sparse_graph(rng: random.Random, n: int, m: int) -> LabeledGraph:
     ])
 
 
+def permute_vertices(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
+    """Reindex vertices; ``perm[old]`` is the new position of vertex ``old``."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("permutation must be a bijection on the vertex indices")
+    names = [""] * g.n
+    for old, new in enumerate(perm):
+        names[new] = g.vertex_names[old]
+    edges = []
+    for e in g.edges:
+        u, v = perm[e.u], perm[e.v]
+        if u > v:
+            u, v = v, u
+        edges.append(Edge(e.index, u, v, e.label))
+    return LabeledGraph(g.domain, names, edges)
+
+
 def naive_cofactor_det(domain, rows):
     """First-row Laplace expansion; no pivoting, no shared code path."""
     n = len(rows)
@@ -236,6 +256,33 @@ def trail_leading_value(g: LabeledGraph, i: int):
     if not trails:
         raise DisconnectedGraphError(f"vertex {i} has no zero trail")
     return g.domain.lcm_all(t.gcd for t in trails)
+
+
+@dataclass(frozen=True)
+class TrailFactors:
+    """Quotients label/trail-gcd for one zero trail of length > 1."""
+
+    trail: Trail
+    factors: tuple
+
+
+def trail_factor_sets(g: LabeledGraph, i: int) -> list[TrailFactors]:
+    """Factor sets of the long zero trails of vertex ``i``.
+
+    The factors of one trail always have unit gcd, since the trail gcd has
+    been divided out of every label.  Reference for the factors that
+    ``minimal_selections`` computes for the chosen edges only.
+    """
+    if not 1 <= i < g.n:
+        raise ValueError(f"vertex index {i} out of range")
+    d = g.domain
+    out = []
+    for t in zero_trails(g, i):
+        if len(t.edges) <= 1:
+            continue
+        factors = tuple(d.exact_div(g.edges[k].label, t.gcd) for k in t.edges)
+        out.append(TrailFactors(t, factors))
+    return out
 
 
 def count_trails_dp(g: LabeledGraph, start: int, end: int) -> int:

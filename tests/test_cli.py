@@ -1,10 +1,16 @@
+import contextlib
+import io
 import itertools
 import json
+import hashlib
 import math
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from graphsplines.cli import main
@@ -356,6 +362,37 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
+class TestSplineValues:
+    # Spline values, like labels, must be JSON strings.  A number literal
+    # past the interpreter's int/str digit limit is rejected by the JSON
+    # reader before it is converted.
+    CASES = {
+        "number": ("diamond_path", 4, '[1, "3", "6", "2"]', "must be strings"),
+        "null": ("diamond_path", 4, '["2", null, "34", "50"]', "must be strings"),
+        "nested": ("diamond_path", 4, '["2", ["32"], "34", "50"]',
+                   "must be strings"),
+        "intpoly-int": ("poly_path", 3, '["1", 2, "x"]', "must be strings"),
+        "long-literal": ("diamond_path", 4,
+                         "[" + "7" * 1_000_000 + ', "1", "1", "1"]', "4300 digits"),
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "check-basis"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_without_traceback(self, capsys, tmp_path, request,
+                                       command, case):
+        graph, n, values, message = self.CASES[case]
+        sp = tmp_path / "bad.json"
+        sp.write_text('{"values": ' + values + "}")
+        copies = 1 if command == "verify" else n
+        argv = [command, "--graph", request.getfixturevalue(graph)]
+        argv += ["--spline", str(sp)] * copies
+        before = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+        assert sys.get_int_max_str_digits() == before
+
+
 class TestDriver:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -384,3 +421,167 @@ class TestDriver:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["q_g"] == "2160"
+
+
+# Documents for the exit-code fuzz test: well-formed graphs and spline
+# documents, and in half the examples some parts replaced by a bad label
+# or by arbitrary JSON.  A number literal too long for json.dumps at the
+# default digit limit is written as a placeholder string and spliced into
+# the text afterwards.
+LONG_LITERAL = "__long_literal__"
+NAMES = ["a", "b", "c", "d", "e"]
+GOOD_TEXT = {
+    "int": ["5", "-3", "1", "6", "10", "1" * 5000, " 7 "],
+    "intpoly": ["x", "x+1", "x^2 - 1", "2*x + 4", "3", "x - " + "7" * 5000],
+}
+BAD_TEXT = ["0", "5.0", "", "y", "x^" + str(MAX_DEGREE + 1), "--1"]
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=4) | st.just(LONG_LITERAL))
+ANY_JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+BAD = st.sampled_from(BAD_TEXT) | ANY_JSON
+
+
+@st.composite
+def documents(draw):
+    """A graph document and up to five spline documents."""
+    corrupt = draw(st.booleans())
+
+    def part(value):
+        # ``value``, or in a corrupt example now and then something bad.
+        return draw(BAD) if corrupt and draw(st.integers(0, 7)) == 0 else value
+
+    domain = draw(st.sampled_from(sorted(GOOD_TEXT)))
+    text = st.sampled_from(GOOD_TEXT[domain])
+    n = draw(st.integers(1, 5))
+    names = NAMES[:n]
+    edges = [
+        part({"u": u, "v": v, "label": part(draw(text))})
+        for u, v in itertools.combinations(names, 2) if draw(st.booleans())
+    ]
+    graph = part({key: part(value) for key, value in
+                  (("domain", domain), ("vertices", names), ("edges", edges))})
+    # Constant vectors are splines, so check-basis reaches a verdict.
+    values = (text.map(lambda t: [t] * n)
+              | st.lists(text, min_size=n, max_size=n)
+              | st.lists(text, max_size=6))
+    splines = [part({"values": part([part(v) for v in draw(values)])})
+               for _ in range(draw(st.integers(0, 5)))]
+    return graph, splines
+
+
+def write_document(path, doc):
+    text = json.dumps(doc).replace(json.dumps(LONG_LITERAL), "9" * 5000)
+    path.write_text(text)
+    return str(path)
+
+
+class TestExitCodeFuzz:
+    # Any JSON document through all seven subcommands: exit 0, 1 or 2,
+    # never a traceback (an exception escaping main), and with
+    # --format json a verdict (exit 0 or 1) prints JSON that parses.
+    # Option values; None leaves the option out.
+    VERTEX = st.sampled_from(["2", "3", "4", None, "1", "0", "-1", "x", "9" * 30])
+    SELECTION = st.sampled_from([None, "0", "1", "3", "-1", "x", "9" * 30])
+    MAX_TRAILS = st.sampled_from([None, "3", "0", "-1", "x", "9" * 30])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(docs=documents(), vertex=VERTEX, selection=SELECTION,
+           max_trails=MAX_TRAILS, fmt=st.sampled_from(["json", "text"]))
+    def test_exit_codes(self, tmp_path_factory, docs, vertex, selection,
+                        max_trails, fmt):
+        graph, splines = docs
+        work = tmp_path_factory.mktemp("fuzz")
+        graph_path = write_document(work / "g.json", graph)
+        spline_args = []
+        for k, doc in enumerate(splines):
+            spline_args += ["--spline", write_document(work / f"f{k}.json", doc)]
+        for command in ("verify", "invariants", "trails", "selections",
+                        "construct", "check-basis", "flowup"):
+            argv = [command, "--graph", graph_path, "--format", fmt]
+            if command == "verify":
+                argv += spline_args[:2] or ["--spline", graph_path]
+            if command == "check-basis":
+                argv += spline_args
+            if command in ("trails", "selections", "construct"):
+                for flag, value in (("--vertex", vertex),
+                                    ("--max-trails", max_trails)):
+                    argv += [flag, value] if value is not None else []
+            if command == "construct" and selection is not None:
+                argv += ["--selection", selection]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue()
+            if fmt == "json" and code in (0, 1):
+                json.loads(out.getvalue())
+
+
+def golden_graphs():
+    """The graphs whose selections and constructions are pinned below."""
+    rng = random.Random(2024)
+    return {
+        "diamond": helpers.diamond(),
+        "k4": helpers.k4_distinct(),
+        "k5": helpers.k5_distinct(),
+        "poly-cycle": helpers.poly_cycle(),
+        "poly-k4": helpers.make_graph("intpoly", ["v1", "v2", "v3", "v4"], [
+            ("v1", "v2", "x"), ("v1", "v3", "x^2 - 1"), ("v1", "v4", "2*x"),
+            ("v2", "v3", "x+1"), ("v2", "v4", "x^2 + x"), ("v3", "v4", "x - 1"),
+        ]),
+        "k5-repeated": helpers.random_complete_graph(rng, 5, max_label=6,
+                                                     distinct=False),
+        "sparse-6": helpers.random_connected_graph(rng, 6, max_label=12),
+    }
+
+
+def selection_outputs(g, tmp_path):
+    """stdout and stderr of ``selections`` at every vertex and of
+    ``construct`` for every selection there, in JSON."""
+    path = doc_path(tmp_path, {
+        "domain": g.domain.name,
+        "vertices": list(g.vertex_names),
+        "edges": [{"u": g.vertex_names[e.u], "v": g.vertex_names[e.v],
+                   "label": g.domain.format(e.label)} for e in g.edges],
+    })
+    text = []
+
+    def capture(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text.append(f"{' '.join(argv[:1] + argv[3:])} -> {code}\n"
+                    f"{out.getvalue()}{err.getvalue()}")
+        return out.getvalue()
+
+    for vertex in range(2, g.n):
+        argv = ["--graph", path, "--vertex", str(vertex), "--format", "json"]
+        count = json.loads(capture(["selections", *argv]))["count"]
+        for k in range(count):
+            capture(["construct", *argv, "--selection", str(k)])
+    return "".join(text)
+
+
+class TestGoldenSelections:
+    # sha256 of ``selection_outputs``, recorded before the selection path
+    # was merged into one per-vertex context; the output is byte-identical.
+    DIGESTS = {
+        "diamond": "321c68df457eeb7afa82d109db0111ed856678f74f4b74a0691e0c2cf01c581a",
+        "k4": "1288adfa545dc511441c3826c3df3e7728b4c83569bdfc4b9028e83c5643b302",
+        "k5": "a8999bc38ed4940bafa9c70ad5273c45011d4f1522745ef4b08e127c60bc8b33",
+        "poly-cycle": "29af6f5c6f1360ba49dce76557566d4c086e775f5255c79c580665fa12a0e994",
+        "poly-k4": "fdf99113c0226cb351fe6704ec3aaab33496361330c98988891a80b8dbdd13c5",
+        "k5-repeated": "843a00d050c49a85316fac26da2407bc86bc5129b749a97d5cb9d5c3c855b356",
+        "sparse-6": "3187b01759648a3880ef3d5413356297b2bddceecce0c26ea0957785896da6fe",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_selections_and_construct_json(self, tmp_path, name):
+        text = selection_outputs(golden_graphs()[name], tmp_path)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]

@@ -4,13 +4,12 @@ import random
 import pytest
 
 import helpers
-from helpers import enumerate_trails
+from helpers import enumerate_trails, permute_vertices
 from graphsplines import (
     GraphDocumentError,
     TrailLimitError,
     completion,
     load_graph,
-    permute_vertices,
     zero_trails,
 )
 

@@ -184,6 +184,34 @@ class TestParseLimits:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    def test_format_past_the_int_str_limit(self):
+        values = [10 ** 5000, 10 ** 5000 - 1, -(10 ** 6000 + 12345),
+                  7 * 10 ** 4400, self.BIG_VALUE]
+        poly = ZZX.coerce(10 ** 5000) * ZZX.parse("x^2 - 3") + ZZX.parse("x")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for v in values:
+                assert ZZ.parse(ZZ.format(v)) == v
+            assert ZZ.format(10 ** 5000) == "1" + "0" * 5000
+            assert ZZX.parse(ZZX.format(poly)) == poly
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_exact_div_error_past_the_int_str_limit(self):
+        a, b = 10 ** 4999 + 1, 10 ** 4999 + 3
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ExactDivisionError, match="does not divide"):
+                ZZ.exact_div(a, b)
+            with pytest.raises(ExactDivisionError, match="does not divide"):
+                ZZX.exact_div(ZZX.coerce(a), ZZX.coerce(b))
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_degree_cap(self):
         assert ZZX.parse(f"x^{MAX_DEGREE} + 1").degree == MAX_DEGREE
         for text in (f"3*x^{MAX_DEGREE + 1} + 1", f"x^{MAX_DEGREE}0"):

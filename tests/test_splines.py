@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import enumerate_trails
+from helpers import enumerate_trails, trail_factor_sets
 from graphsplines import (
     DisconnectedGraphError,
     SplineConstructionError,
@@ -27,7 +27,6 @@ from graphsplines import (
     selection_spline,
     single_vertex_spline,
     top_spline,
-    trail_factor_sets,
     zero_trails,
 )
 
@@ -208,7 +207,7 @@ class TestMinimalSelections:
 
     def test_antichain_and_dominance(self):
         rng = random.Random(41)
-        graphs = [helpers.k4_distinct(), helpers.diamond()]
+        graphs = [helpers.k4_distinct(), helpers.diamond(), helpers.poly_cycle()]
         graphs += [helpers.random_connected_graph(rng, 4) for _ in range(3)]
         for g in graphs:
             for i in range(1, g.n - 1):
@@ -217,8 +216,16 @@ class TestMinimalSelections:
                 for a in sets:
                     for b in sets:
                         assert not a < b
+                # each chosen edge's factor is the oracle's entry for it
+                oracle = trail_factor_sets(g, i)
+                for s in sels:
+                    assert s.trails == tuple(tf.trail for tf in oracle)
+                    assert s.factors == tuple(
+                        tf.factors[tf.trail.edges.index(e)]
+                        for tf, e in zip(oracle, s.chosen)
+                    )
                 # every brute-force assignment's label set contains a minimal one
-                trails = [tf.trail for tf in trail_factor_sets(g, i)]
+                trails = [tf.trail for tf in oracle]
                 if not trails:
                     continue
                 for combo in itertools.product(*[t.edges for t in trails]):
