@@ -19,7 +19,16 @@ from .graphs import DEFAULT_TRAIL_LIMIT
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # The reader's only other ValueError: an integer literal past the
+        # interpreter's int/str digit limit.
+        raise ValueError(f"{path}: a JSON number literal is too long; "
+                         "numbers must be written as strings") from None
 
 
 def _load_graph(path: str) -> graphs.LabeledGraph:
@@ -248,6 +257,16 @@ def _cmd_flowup(args) -> int:
     return 0
 
 
+def _trail_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphsplines",
@@ -260,6 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if vertex:
             p.add_argument("--vertex", type=int,
                            help="1-based position in the vertex order")
+            p.add_argument("--max-trails", type=_trail_cap, default=DEFAULT_TRAIL_LIMIT,
+                           help="abort trail enumeration beyond this many trails")
         if selection:
             p.add_argument("--selection", type=int, default=0,
                            help="selection id from the selections command (default 0)")
@@ -269,9 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spline", action="append", default=[],
                            help="spline document (JSON); repeat once per candidate")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--max-trails", type=int, default=DEFAULT_TRAIL_LIMIT,
-                       help="abort trail enumeration beyond this many trails "
-                            "(trails, selections and construct only)")
 
     common(sub.add_parser("verify", help="check a vector against the edge conditions"),
            spline="one")

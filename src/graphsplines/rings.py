@@ -81,10 +81,6 @@ class IntPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         # The zero polynomial reports degree -1.

@@ -12,9 +12,10 @@ A selection at vertex i picks one edge from every zero trail of length
 greater than one.  Each pick contributes the quotient of its label by the
 trail gcd; the product of those quotients times the leading value is the
 nonzero value used by the spline constructions at the end of the module.
-``minimal_selections`` and ``selection_from_labels`` share one path: a
-per-vertex context lists the long trails, the leading value and a key per
-label once, and turns each label set into a ``Selection``.
+Minimal selections are the minimal label cuts between i and the earlier
+vertices.  ``minimal_selections`` and ``selection_from_labels`` share one
+path: a per-vertex context lists the long trails, the leading value and a
+key per label once, and turns each label set into a ``Selection``.
 """
 
 from __future__ import annotations
@@ -142,35 +143,6 @@ class Selection:
     h_edges: frozenset = field(repr=False)
 
 
-def _minimal_hitting_sets(trail_keysets: list[tuple[int, ...]]) -> list[frozenset[int]]:
-    """All inclusion-minimal key sets meeting every listed key set.
-
-    Branches on the first unhit set; a branch whose partial set already
-    contains a recorded hitting set cannot lead to a new minimal one.
-    """
-    found: list[frozenset[int]] = []
-
-    def extend(chosen: frozenset[int]) -> None:
-        target = None
-        for ks in trail_keysets:
-            if not any(k in chosen for k in ks):
-                target = ks
-                break
-        if target is None:
-            found.append(chosen)
-            return
-        for k in target:
-            nxt = chosen | {k}
-            if any(f <= nxt for f in found):
-                continue
-            extend(nxt)
-
-    extend(frozenset())
-    unique = set(found)
-    minimal = [s for s in unique if not any(o < s for o in unique)]
-    return sorted(minimal, key=lambda s: tuple(sorted(s)))
-
-
 def _assign_edges(g: LabeledGraph, trails: Sequence[Trail],
                   keyset: frozenset[int], key_of_edge) -> list[int]:
     """One edge per trail with label key in ``keyset``, realizing every key.
@@ -194,27 +166,43 @@ def _assign_edges(g: LabeledGraph, trails: Sequence[Trail],
     for e in choice:
         k = key_of_edge[e]
         counts[k] = counts.get(k, 0) + 1
+    carriers: dict[int, list[int]] = {}
 
-    def trail_keys(ti: int) -> set[int]:
-        return {key_of_edge[e] for e in qualifying[ti]}
-
-    def realize(key: int, banned: set[int]) -> bool:
-        for ti in range(len(trails)):
-            if ti in banned or key not in trail_keys(ti):
-                continue
-            old = key_of_edge[choice[ti]]
-            if old == key:
-                continue
-            banned.add(ti)
-            if counts[old] > 1 or realize(old, banned):
-                choice[ti] = min(e for e in qualifying[ti] if key_of_edge[e] == key)
-                counts[old] -= 1
-                counts[key] = counts.get(key, 0) + 1
-                return True
+    def realize(key: int) -> bool:
+        # Depth-first search on an explicit stack: chain[f] is the trail
+        # that takes wants[f] and hands its current key to the next level,
+        # unless another trail also chooses that key.
+        if not carriers:
+            for ti, q in enumerate(qualifying):
+                for k in dict.fromkeys(key_of_edge[e] for e in q):
+                    carriers.setdefault(k, []).append(ti)
+        visited: set[int] = set()
+        wants, pending, chain = [key], [iter(carriers.get(key, ()))], []
+        while pending:
+            for ti in pending[-1]:
+                old = key_of_edge[choice[ti]]
+                if ti in visited or old == wants[-1]:
+                    continue
+                visited.add(ti)
+                chain.append(ti)
+                if counts[old] > 1:
+                    for want, tj in zip(wants, chain):
+                        counts[key_of_edge[choice[tj]]] -= 1
+                        counts[want] = counts.get(want, 0) + 1
+                        choice[tj] = min(e for e in qualifying[tj] if key_of_edge[e] == want)
+                    return True
+                wants.append(old)
+                pending.append(iter(carriers[old]))
+                break
+            else:
+                pending.pop()
+                wants.pop()
+                if chain:
+                    chain.pop()
         return False
 
     for key in sorted(keyset):
-        if counts.get(key, 0) == 0 and not realize(key, set()):
+        if counts.get(key, 0) == 0 and not realize(key):
             raise ValueError("label set is not realizable as a selection")
     return choice
 
@@ -239,6 +227,49 @@ class _VertexSelections:
             t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
         )
         self.lead = leading_value(g, i)
+
+    def minimal_keysets(self) -> list[frozenset[int]]:
+        """Key sets of the minimal label cuts, sorted by their sorted keys.
+
+        A minimal cut C is reached once, from S, the component of ``i``
+        among the vertices C's edges cut off from the earlier ones.  S grows
+        one later neighbour at a time, each added or kept out for good; a
+        branch lives only while every vertex kept out reaches an earlier one
+        outside S without the edges of keys already cut.  A leaf is kept if
+        dropping any one key reconnects ``i``; with distinct labels all are.
+        """
+        g, i, key = self.graph, self.vertex, self.edge_key
+        adj = [[(key[k], w) for k, w in g.neighbors(v) if max(v, w) > i] for v in range(g.n)]
+
+        def escaping(side: frozenset, cut: frozenset) -> set[int]:
+            """Vertices ``>= i`` outside ``side`` that reach an earlier one
+            avoiding ``side`` and the edges whose key is in ``cut``."""
+            work = [v for v in range(i, g.n) if v not in side
+                    and any(w < i and k not in cut for k, w in adj[v])]
+            seen = set(work)
+            while work:
+                for k, w in adj[work.pop()]:
+                    if w >= i and k not in cut and w not in side and w not in seen:
+                        seen.add(w)
+                        work.append(w)
+            return seen
+
+        cuts, stack = [], [(frozenset({i}), frozenset(), frozenset())]
+        while stack:
+            side, out, cut = stack.pop()
+            frontier = {w for v in side for _, w in adj[v] if w > i} - side - out
+            if not frontier:
+                if all(i in escaping(frozenset(), cut - {k}) for k in cut):
+                    cuts.append(cut)
+                continue
+            v = min(frontier)
+            kept = cut | {k for k, w in adj[v] if w in side}
+            if out | {v} <= escaping(side, kept):
+                stack.append((side, out | {v}, kept))
+            grown = cut | {k for k, w in adj[v] if w < i or w in out}
+            if out <= escaping(side | {v}, grown):
+                stack.append((side | {v}, out, grown))
+        return sorted(cuts, key=lambda c: tuple(sorted(c)))
 
     def select(self, keyset: frozenset[int]) -> Selection:
         """The selection whose label keys are ``keyset``, edges assigned by
@@ -268,14 +299,14 @@ def minimal_selections(g: LabeledGraph, i: int,
                        max_trails: int = DEFAULT_TRAIL_LIMIT) -> list[Selection]:
     """Selections whose label sets are minimal under inclusion.
 
-    These are exactly the minimal hitting sets of the long zero trails,
-    viewed as sets of labels: every selection's label set meets every long
-    trail, and a minimal such set is realized by picking, per trail, the
-    lowest-indexed edge whose label it contains.
+    A label set meets every long zero trail exactly when deleting its
+    edges cuts vertex ``i`` off from the earlier vertices, so these are
+    the minimal label cuts (``_VertexSelections.minimal_keysets``), in
+    the order of their sorted label keys.  Each is realized by picking,
+    per trail, the lowest-indexed edge whose label it contains.
     """
     at = _VertexSelections(g, i, max_trails)
-    keysets = [tuple(sorted({at.edge_key[k] for k in t.edges})) for t in at.trails]
-    return [at.select(s) for s in _minimal_hitting_sets(keysets)]
+    return [at.select(s) for s in at.minimal_keysets()]
 
 
 def selection_from_labels(g: LabeledGraph, i: int, labels,
@@ -356,6 +387,16 @@ def selection_spline(k: LabeledGraph, a: Selection) -> list:
     position i (the earlier vertices).  There are i or more zeros exactly
     when I is nonempty; when no edge at vertex i is selected, every later
     vertex gets X and only the i-1 guaranteed zeros remain.
+
+    Complete graphs with distinct labels.  Every S made of vertex i and
+    any subset of the later vertices is the side of a minimal label cut
+    (see ``minimal_selections``): S is connected, and every later vertex
+    outside it has an edge to an earlier vertex.  Distinct minimal cuts
+    are never nested, so vertex i has exactly 2^(n-1-i) minimal
+    selections, 2^(n-v) at 1-based position v, one per S.  The selection
+    of S picks the edges leaving S, so S is vertex i plus the later
+    vertices whose edge to i is not selected, and the spline is X
+    exactly on S and zero elsewhere.
     """
     if not k.is_complete:
         raise ValueError("the selection construction needs a complete graph")

@@ -4,7 +4,8 @@ The oracles here deliberately re-derive results through different
 algorithms than the package uses: determinants by first-row cofactor
 expansion, zero trails by full trail enumeration plus explicit edge-set
 pruning, leading values from the listed zero trails, the selection
-factors of every edge of every long zero trail, trail counts by dynamic
+factors of every edge of every long zero trail, minimal selections by a
+hitting-set search over the long trails' label sets, trail counts by dynamic
 programming over used-edge sets, and the flow-up basis and span
 coordinates through a Hermite form over the integers that tracks its
 unimodular transform.  ``permute_vertices`` reorders a graph for the
@@ -24,11 +25,13 @@ from graphsplines import (
     Edge,
     InternalConsistencyError,
     LabeledGraph,
+    Selection,
     Trail,
     TrailLimitError,
     completion,
     leading_values,
     load_graph,
+    selection_from_labels,
     zero_trails,
 )
 
@@ -283,6 +286,55 @@ def trail_factor_sets(g: LabeledGraph, i: int) -> list[TrailFactors]:
         factors = tuple(d.exact_div(g.edges[k].label, t.gcd) for k in t.edges)
         out.append(TrailFactors(t, factors))
     return out
+
+
+def minimal_hitting_sets(trail_keysets: list[tuple[int, ...]]) -> list[frozenset[int]]:
+    """All inclusion-minimal key sets meeting every listed key set.
+
+    Branches on the first unhit set; a branch whose partial set already
+    contains a recorded hitting set cannot lead to a new minimal one.
+    """
+    found: list[frozenset[int]] = []
+
+    def extend(chosen: frozenset[int]) -> None:
+        target = None
+        for ks in trail_keysets:
+            if not any(k in chosen for k in ks):
+                target = ks
+                break
+        if target is None:
+            found.append(chosen)
+            return
+        for k in target:
+            nxt = chosen | {k}
+            if any(f <= nxt for f in found):
+                continue
+            extend(nxt)
+
+    extend(frozenset())
+    unique = set(found)
+    minimal = [s for s in unique if not any(o < s for o in unique)]
+    return sorted(minimal, key=lambda s: tuple(sorted(s)))
+
+
+def hitting_set_selections(g: LabeledGraph, i: int) -> list[Selection]:
+    """``minimal_selections`` by the minimal hitting sets of the long
+    trails' label keys (a key is the smallest edge index carrying a
+    label's canonical associate), in the order of their sorted keys.
+
+    Reference for the label-cut enumeration in ``splines``; exponential in
+    the number of trails.
+    """
+    d = g.domain
+    key: dict = {}
+    for e in g.edges:
+        key.setdefault(d.canonical(e.label), e.index)
+    keysets = [
+        tuple(sorted({key[d.canonical(g.edges[k].label)] for k in t.edges}))
+        for t in zero_trails(g, i) if len(t.edges) > 1
+    ]
+    return [selection_from_labels(g, i, [g.edges[k].label for k in sorted(s)])
+            for s in minimal_hitting_sets(keysets)]
 
 
 def count_trails_dp(g: LabeledGraph, start: int, end: int) -> int:

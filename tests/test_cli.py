@@ -219,6 +219,32 @@ class TestTrails:
                            "--vertex", "2", "--max-trails", "1")
         assert code == 2 and "raise the cap" in err
 
+    @pytest.mark.parametrize("command", ["trails", "selections", "construct"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_2(self, capsys, diamond_path, command, cap):
+        code, out, err = run(capsys, command, "--graph", diamond_path,
+                             "--vertex", "2", "--max-trails", cap)
+        assert code == 2 and out == ""
+        assert f"argument --max-trails: must be at least 1, got {cap}" in err
+
+    @pytest.mark.parametrize("command", ["verify", "invariants", "check-basis", "flowup"])
+    def test_cap_only_on_trail_commands(self, capsys, tmp_path, diamond_path, command):
+        sp = spline_path(tmp_path, "f.json", [2, 32, 34, 50])
+        argv = [command, "--graph", diamond_path, "--max-trails", "5"]
+        if command == "verify":
+            argv += ["--spline", sp]
+        if command == "check-basis":
+            argv += ["--spline", sp] * 4
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --max-trails 5" in err
+
+    def test_cap_bounds_selections(self, capsys, diamond_path):
+        argv = ["selections", "--graph", diamond_path, "--vertex", "2"]
+        assert run(capsys, *argv, "--max-trails", "3")[0] == 0
+        code, _, err = run(capsys, *argv, "--max-trails", "2")
+        assert code == 2 and "more than 2 zero trails" in err
+
     def test_cycle_1500_beyond_the_recursion_limit(self, capsys, tmp_path):
         code, out, _ = run(capsys, "trails", "--graph",
                            doc_path(tmp_path, cycle_doc(1500, 3)),
@@ -249,6 +275,23 @@ class TestSelections:
         code, _, _ = run(capsys, "selections", "--graph", diamond_path,
                          "--vertex", "4")
         assert code == 2
+
+    def test_k8_v2_wall(self, capsys, tmp_path):
+        # 1956 long trails; a hitting-set search over the trails takes more
+        # than a minute already on K7, the label-cut enumeration here a
+        # fraction of a second.  Text output prints one line per selection
+        # rather than one choice per trail.
+        names = [f"v{k}" for k in range(1, 9)]
+        labels = iter(primes(28))
+        doc = helpers.graph_doc("int", names, [
+            (a, b, next(labels)) for a, b in itertools.combinations(names, 2)
+        ])
+        code, out, _ = run(capsys, "selections", "--graph", doc_path(tmp_path, doc),
+                           "--vertex", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "64 minimal selections at v2"
+        assert len({line.split(" product ")[0].split(": ")[1] for line in lines[:-1]}) == 64
 
 
 class TestConstruct:
@@ -365,7 +408,7 @@ class TestMalformedDocuments:
 class TestSplineValues:
     # Spline values, like labels, must be JSON strings.  A number literal
     # past the interpreter's int/str digit limit is rejected by the JSON
-    # reader before it is converted.
+    # reader before it is converted, with a message that asks for strings.
     CASES = {
         "number": ("diamond_path", 4, '[1, "3", "6", "2"]', "must be strings"),
         "null": ("diamond_path", 4, '["2", null, "34", "50"]', "must be strings"),
@@ -373,7 +416,8 @@ class TestSplineValues:
                    "must be strings"),
         "intpoly-int": ("poly_path", 3, '["1", 2, "x"]', "must be strings"),
         "long-literal": ("diamond_path", 4,
-                         "[" + "7" * 1_000_000 + ', "1", "1", "1"]', "4300 digits"),
+                         "[" + "7" * 1_000_000 + ', "1", "1", "1"]',
+                         "numbers must be written as strings"),
     }
 
     @pytest.mark.parametrize("command", ["verify", "check-basis"])
@@ -390,7 +434,18 @@ class TestSplineValues:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
+        assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == before
+
+    def test_long_literal_in_graph_document(self, capsys, tmp_path):
+        text = json.dumps(DIAMOND_DOC).replace('"5"', "5" * 5000, 1)
+        gp = tmp_path / "g.json"
+        gp.write_text(text)
+        code, out, err = run(capsys, "invariants", "--graph", str(gp))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {gp}: a JSON number literal is too long")
+        assert "numbers must be written as strings" in err
+        assert "set_int_max_str_digits" not in err
 
 
 class TestDriver:

@@ -130,6 +130,37 @@ POLY_FACTORS = ["x", "x+1", "x-1", "2", "3", "x^2+1", "2*x+1", "-1"]
 
 
 @st.composite
+def selection_graphs(draw):
+    """Connected graphs on three to seven vertices in either domain for
+    the selection oracle: labels distinct, or drawn from a small pool with
+    unit labels so they repeat; graphs on up to five vertices may be
+    completed.  Graphs on six or seven vertices stay sparse, since the
+    oracle's hitting-set search is exponential in the trails."""
+    domain = draw(st.sampled_from(["int", "intpoly"]))
+    n = draw(st.integers(min_value=3, max_value=7))
+    names = [f"v{k}" for k in range(1, n + 1)]
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    others = [pq for pq in itertools.combinations(range(n), 2) if pq not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True,
+                          max_size=len(others) if n <= 5 else 3))
+    pairs = sorted(tree + extra)
+    if draw(st.booleans()):
+        pool = (["1", "-1", "2", "3", "6", "4"] if domain == "int"
+                else ["1", "-1", "x", "x+1", "x^2+x", "2*x"])
+        labels = [draw(st.sampled_from(pool)) for _ in pairs]
+    else:
+        shifts = draw(st.lists(st.integers(min_value=1, max_value=200), unique=True,
+                               min_size=len(pairs), max_size=len(pairs)))
+        labels = [str(c + 1) if domain == "int" else f"x+{c}" for c in shifts]
+    g = helpers.make_graph(domain, names, [
+        (names[u], names[v], lab) for (u, v), lab in zip(pairs, labels)
+    ])
+    if n <= 5 and draw(st.booleans()):
+        g = completion(g)
+    return g
+
+
+@st.composite
 def random_graphs(draw):
     """Graphs on up to seven vertices in either domain, disconnected ones
     included; labels share factors so trail gcds are nontrivial."""
@@ -260,6 +291,38 @@ class TestMinimalSelections:
         with pytest.raises(ValueError):
             minimal_selections(g, 1)
 
+    @settings(max_examples=220, deadline=None)
+    @given(st.data())
+    def test_cuts_match_hitting_set_oracle(self, data):
+        g = data.draw(selection_graphs())
+        for i in range(1, g.n - 1):
+            got = minimal_selections(g, i)
+            want = helpers.hitting_set_selections(g, i)
+            assert [(s.labels, s.trails, s.chosen, s.factors, s.product, s.value)
+                    for s in got] == \
+                [(s.labels, s.trails, s.chosen, s.factors, s.product, s.value)
+                 for s in want]
+
+    def test_sparse_n30_wall(self):
+        # A hitting-set search over this vertex's 62 long trails takes more
+        # than a minute; the label-cut enumeration takes under a second.
+        g = helpers.random_sparse_graph(random.Random(30040), 30, 40)
+        sels = minimal_selections(g, 1)
+        assert len(sels) == 1005
+        assert len({s.labels for s in sels}) == 1005
+
+    def test_parallel_paths_two_labels_wall(self):
+        # Thirty trails v2-a_j-v1, labelled 3 then 7: 2^30 minimal edge
+        # cuts, but only the label cuts {3} and {7} are minimal.
+        m = 30
+        edges = [("v1", "v2", 5)]
+        for j in range(m):
+            edges += [("v2", f"a{j}", 3), (f"a{j}", "v1", 7)]
+        g = helpers.make_graph("int", ["v1", "v2"] + [f"a{j}" for j in range(m)], edges)
+        sels = minimal_selections(g, 1)
+        assert [s.labels for s in sels] == [(3,), (7,)]
+        assert [s.product for s in sels] == [3 ** m, 7 ** m]
+
 
 class TestSelectionProducts:
     def test_diamond_selection_product(self, diamond):
@@ -295,6 +358,22 @@ class TestSelectionProducts:
             selection_from_labels(diamond, 1, [2])  # misses the 9-6 trail
         with pytest.raises(ValueError):
             selection_from_labels(diamond, 1, [7])  # no such label
+
+    def test_repair_chain_beyond_the_recursion_limit(self):
+        # Trails v2-a_j-v1: trail 0 carries only p_0, trail j > 0 carries
+        # p_(j-1) on its lower edge and p_j on the other.  Every trail
+        # starts on its lower edge, so p_1200 is realized only by a chain
+        # that moves every trail j onto p_j.
+        count = 1201
+        p = [j + 2 for j in range(count)]
+        edges = []
+        for j in range(count):
+            edges += [("v2", f"a{j}", p[max(j - 1, 0)]), (f"a{j}", "v1", p[j])]
+        g = helpers.make_graph("int", ["v1", "v2"] + [f"a{j}" for j in range(count)],
+                               edges)
+        s = selection_from_labels(g, 1, p)
+        assert [t.vertices[1] for t in s.trails] == list(range(2, count + 2))
+        assert [g.edges[e].label for e in s.chosen] == p
 
 
 class TestSingleVertexSpline:
@@ -386,6 +465,27 @@ class TestSelectionSpline:
                    if frozenset(s.labels) == frozenset({2, 3, 5}))
         with pytest.raises(SplineConstructionError):
             selection_spline(g, bad)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_complete_graph_selections_are_vertex_subsets(self, n):
+        # Distinct-label K_n: the minimal selections at 1-based vertex v
+        # are the 2^(n-v) edge cuts around S, the vertex plus any subset
+        # of the later vertices, and each spline is X exactly on S.
+        k = helpers.random_complete_graph(random.Random(n), n)
+        for i in range(1, n - 1):
+            sels = minimal_selections(k, i)
+            assert len(sels) == 2 ** (n - 1 - i)
+            sides = set()
+            for s in sels:
+                side = {i} | {t for t in range(i + 1, n)
+                              if k.edge_index_between(i, t) not in s.h_edges}
+                assert s.h_edges == {e.index for e in k.edges
+                                     if max(e.u, e.v) > i and (e.u in side) != (e.v in side)}
+                values = selection_spline(k, s)
+                assert [v for v in range(n) if values[v] == s.value] == sorted(side)
+                assert all(values[v] == 0 for v in range(n) if v not in side)
+                sides.add(frozenset(side))
+            assert len(sides) == 2 ** (n - 1 - i)
 
     def test_non_complete_rejected(self, diamond):
         s = minimal_selections(diamond, 1)[0]
