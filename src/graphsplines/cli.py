@@ -9,6 +9,7 @@ input or usage problem.  Output is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -267,6 +268,7 @@ def _trail_cap(text: str) -> int:
     return cap
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphsplines",
@@ -274,7 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, vertex=False, selection=False, spline=None):
+    def command(name, handler, summary, vertex=False, selection=False, spline=None):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--graph", required=True, help="graph document (JSON)")
         if vertex:
             p.add_argument("--vertex", type=int,
@@ -291,42 +295,30 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="spline document (JSON); repeat once per candidate")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
-    common(sub.add_parser("verify", help="check a vector against the edge conditions"),
-           spline="one")
-    common(sub.add_parser("invariants", help="leading values and their product"))
-    common(sub.add_parser("trails", help="reduced zero trails of a vertex"),
-           vertex=True)
-    common(sub.add_parser("selections", help="minimal selections at a vertex"),
-           vertex=True)
-    common(sub.add_parser("construct",
-                          help="two-valued spline from a minimal selection "
-                               "(completes the graph when needed)"),
-           vertex=True, selection=True)
-    common(sub.add_parser("check-basis", help="determinant basis criterion"),
-           spline="many")
-    common(sub.add_parser("flowup", help="integer flow-up basis"))
+    command("verify", _cmd_verify, "check a vector against the edge conditions",
+            spline="one")
+    command("invariants", _cmd_invariants, "leading values and their product")
+    command("trails", _cmd_trails, "reduced zero trails of a vertex", vertex=True)
+    command("selections", _cmd_selections, "minimal selections at a vertex",
+            vertex=True)
+    command("construct", _cmd_construct,
+            "two-valued spline from a minimal selection (completes the graph when needed)",
+            vertex=True, selection=True)
+    command("check-basis", _cmd_check_basis, "determinant basis criterion",
+            spline="many")
+    command("flowup", _cmd_flowup, "integer flow-up basis")
     return parser
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "invariants": _cmd_invariants,
-    "trails": _cmd_trails,
-    "selections": _cmd_selections,
-    "construct": _cmd_construct,
-    "check-basis": _cmd_check_basis,
-    "flowup": _cmd_flowup,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # The parser is built once per process and holds no per-call state:
+    # ``append`` copies its default list before adding to it.
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,9 +35,6 @@ class Edge:
     v: int
     label: object
 
-    def other(self, w: int) -> int:
-        return self.v if w == self.u else self.u
-
 
 @dataclass(frozen=True)
 class Trail:
@@ -231,7 +228,8 @@ def zero_trails(g: LabeledGraph, i: int,
                 break
             if len(results) >= max_trails:
                 raise TrailLimitError(
-                    f"more than {max_trails} zero trails; raise the cap to continue"
+                    f"vertex {g.vertex_names[i]} has more than {max_trails} "
+                    "zero trails; raise the cap to continue"
                 )
             results.append(_trail(g, path_vertices, path_edges))
             path_vertices.pop()

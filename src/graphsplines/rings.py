@@ -145,18 +145,11 @@ class IntPoly:
         return f"IntPoly({ZZX.format(self)!r})"
 
 
-def _poly_content(p: IntPoly) -> int:
-    c = 0
-    for v in p.coeffs:
-        c = math.gcd(c, v)
-    return c
-
-
 def _poly_primitive_canonical(p: IntPoly) -> IntPoly:
     """Divide out the content and force a positive leading coefficient."""
     if p.is_zero:
         return p
-    c = _poly_content(p)
+    c = math.gcd(*p.coeffs)
     if p.leading < 0:
         c = -c
     return IntPoly(tuple(v // c for v in p.coeffs))
@@ -240,10 +233,7 @@ class Domain:
         return out
 
     def product(self, items):
-        out = self.one
-        for a in items:
-            out = self.mul(out, a)
-        return out
+        return math.prod(items, start=self.one)
 
 
 class IntegerDomain(Domain):
@@ -280,9 +270,7 @@ class IntegerDomain(Domain):
         return math.gcd(a, b)
 
     def lcm(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return abs(a // math.gcd(a, b) * b)
+        return math.lcm(a, b)
 
     def divides(self, b: int, a: int) -> bool:
         if b == 0:
@@ -385,7 +373,7 @@ class IntPolyDomain(Domain):
             return self.canonical(b)
         if b.is_zero:
             return self.canonical(a)
-        ca, cb = abs(_poly_content(a)), abs(_poly_content(b))
+        c = math.gcd(*a.coeffs, *b.coeffs)
         f = _poly_primitive_canonical(a)
         g = _poly_primitive_canonical(b)
         if f.degree < g.degree:
@@ -393,7 +381,7 @@ class IntPolyDomain(Domain):
         while not g.is_zero:
             r = _poly_pseudo_rem(f, g)
             f, g = g, _poly_primitive_canonical(r)
-        return math.gcd(ca, cb) * f
+        return c * f
 
     def lcm(self, a: IntPoly, b: IntPoly) -> IntPoly:
         if a.is_zero or b.is_zero:

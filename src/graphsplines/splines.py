@@ -15,11 +15,15 @@ nonzero value used by the spline constructions at the end of the module.
 Minimal selections are the minimal label cuts between i and the earlier
 vertices.  ``minimal_selections`` and ``selection_from_labels`` share one
 path: a per-vertex context lists the long trails, the leading value and a
-key per label once, and turns each label set into a ``Selection``.
+key per label once, and turns each label set into a ``Selection``, where
+every trail takes its lowest-indexed selected edge.  Only a label that no
+trail took sends the choice to an augmenting-path repair, which minimal
+label sets never need.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -143,39 +147,25 @@ class Selection:
     h_edges: frozenset = field(repr=False)
 
 
-def _assign_edges(g: LabeledGraph, trails: Sequence[Trail],
-                  keyset: frozenset[int], key_of_edge) -> list[int]:
-    """One edge per trail with label key in ``keyset``, realizing every key.
+def _repair(trails: Sequence[Trail], choice: list[int], keyset: frozenset[int],
+            key_of_edge) -> list[int]:
+    """Reassign trails along augmenting chains until every key in
+    ``keyset`` is the choice of some trail, or raise ValueError.
 
-    Each trail starts on its lowest-indexed qualifying edge.  Keys that no
-    trail ended up choosing are repaired by reassigning trails along an
-    augmenting chain; for minimal selections the repair never fires, since
-    every key has a trail on which it is the only qualifying one.
+    Runs only for a key that no trail's lowest selected edge carries,
+    which never happens for a minimal label set: each of its keys has a
+    trail on which it is the only selected one.
     """
-    qualifying: list[list[int]] = []
-    for t in trails:
-        q = sorted(k for k in t.edges if key_of_edge[k] in keyset)
-        if not q:
-            raise ValueError(
-                "label set misses the trail through "
-                + "-".join(g.vertex_names[v] for v in t.vertices)
-            )
-        qualifying.append(q)
-    choice = [q[0] for q in qualifying]
-    counts: dict[int, int] = {}
-    for e in choice:
-        k = key_of_edge[e]
-        counts[k] = counts.get(k, 0) + 1
     carriers: dict[int, list[int]] = {}
+    for ti, t in enumerate(trails):
+        for k in {key_of_edge[e] for e in t.edges} & keyset:
+            carriers.setdefault(k, []).append(ti)
+    counts = Counter(key_of_edge[e] for e in choice)
 
     def realize(key: int) -> bool:
         # Depth-first search on an explicit stack: chain[f] is the trail
         # that takes wants[f] and hands its current key to the next level,
         # unless another trail also chooses that key.
-        if not carriers:
-            for ti, q in enumerate(qualifying):
-                for k in dict.fromkeys(key_of_edge[e] for e in q):
-                    carriers.setdefault(k, []).append(ti)
         visited: set[int] = set()
         wants, pending, chain = [key], [iter(carriers.get(key, ()))], []
         while pending:
@@ -188,8 +178,8 @@ def _assign_edges(g: LabeledGraph, trails: Sequence[Trail],
                 if counts[old] > 1:
                     for want, tj in zip(wants, chain):
                         counts[key_of_edge[choice[tj]]] -= 1
-                        counts[want] = counts.get(want, 0) + 1
-                        choice[tj] = min(e for e in qualifying[tj] if key_of_edge[e] == want)
+                        counts[want] += 1
+                        choice[tj] = min(e for e in trails[tj].edges if key_of_edge[e] == want)
                     return True
                 wants.append(old)
                 pending.append(iter(carriers[old]))
@@ -202,15 +192,16 @@ def _assign_edges(g: LabeledGraph, trails: Sequence[Trail],
         return False
 
     for key in sorted(keyset):
-        if counts.get(key, 0) == 0 and not realize(key):
+        if counts[key] == 0 and not realize(key):
             raise ValueError("label set is not realizable as a selection")
     return choice
 
 
 class _VertexSelections:
     """What every selection at vertex ``i`` shares, built once: the long
-    zero trails, the leading value, and the key of each label, the
-    smallest edge index carrying its canonical associate."""
+    zero trails with their edge indices sorted, the leading value, and the
+    key of each label, the smallest edge index carrying its canonical
+    associate."""
 
     def __init__(self, g: LabeledGraph, i: int, max_trails: int):
         if not 1 <= i <= g.n - 2:
@@ -226,6 +217,7 @@ class _VertexSelections:
         self.trails = tuple(
             t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
         )
+        self.sorted_edges = [sorted(t.edges) for t in self.trails]
         self.lead = leading_value(g, i)
 
     def minimal_keysets(self) -> list[frozenset[int]]:
@@ -272,10 +264,25 @@ class _VertexSelections:
         return sorted(cuts, key=lambda c: tuple(sorted(c)))
 
     def select(self, keyset: frozenset[int]) -> Selection:
-        """The selection whose label keys are ``keyset``, edges assigned by
-        ``_assign_edges``."""
-        g, d, trails = self.graph, self.graph.domain, self.trails
-        choice = _assign_edges(g, trails, keyset, self.edge_key)
+        """The selection whose label keys are ``keyset``.
+
+        Each long trail takes its lowest-indexed edge among ``h_edges``,
+        the edges whose key is in ``keyset``; only when some key is then
+        taken by no trail does ``_repair`` reassign trails.
+        """
+        g, d, trails, key = self.graph, self.graph.domain, self.trails, self.edge_key
+        h_edges = frozenset(e for e, k in enumerate(key) if k in keyset)
+        choice = []
+        for t, edges in zip(trails, self.sorted_edges):
+            e = next((e for e in edges if e in h_edges), None)
+            if e is None:
+                raise ValueError(
+                    "label set misses the trail through "
+                    + "-".join(g.vertex_names[v] for v in t.vertices)
+                )
+            choice.append(e)
+        if len({key[e] for e in choice}) < len(keyset):
+            choice = _repair(trails, choice, keyset, key)
         factors = tuple(
             d.exact_div(g.edges[e].label, t.gcd) for t, e in zip(trails, choice)
         )
@@ -289,9 +296,7 @@ class _VertexSelections:
             labels=tuple(d.canonical(g.edges[k].label) for k in sorted(keyset)),
             product=product,
             value=d.canonical(d.mul(product, self.lead)),
-            h_edges=frozenset(
-                e.index for e in g.edges if self.edge_key[e.index] in keyset
-            ),
+            h_edges=h_edges,
         )
 
 
@@ -303,7 +308,8 @@ def minimal_selections(g: LabeledGraph, i: int,
     edges cuts vertex ``i`` off from the earlier vertices, so these are
     the minimal label cuts (``_VertexSelections.minimal_keysets``), in
     the order of their sorted label keys.  Each is realized by picking,
-    per trail, the lowest-indexed edge whose label it contains.
+    per trail, the lowest-indexed edge whose label it contains; no repair
+    runs.
     """
     at = _VertexSelections(g, i, max_trails)
     return [at.select(s) for s in at.minimal_keysets()]

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from graphsplines import flowup_basis, top_spline
 from graphsplines.cli import main
 from graphsplines.rings import MAX_DEGREE
 
@@ -245,6 +246,14 @@ class TestTrails:
         code, _, err = run(capsys, *argv, "--max-trails", "2")
         assert code == 2 and "more than 2 zero trails" in err
 
+    @pytest.mark.parametrize("command", ["trails", "selections", "construct"])
+    def test_cap_error_names_the_vertex(self, capsys, diamond_path, command):
+        code, out, err = run(capsys, command, "--graph", diamond_path,
+                             "--vertex", "3", "--max-trails", "1")
+        assert code == 2 and out == ""
+        assert ("error: vertex v3 has more than 1 zero trails; "
+                "raise the cap to continue") in err
+
     def test_cycle_1500_beyond_the_recursion_limit(self, capsys, tmp_path):
         code, out, _ = run(capsys, "trails", "--graph",
                            doc_path(tmp_path, cycle_doc(1500, 3)),
@@ -468,6 +477,20 @@ class TestDriver:
             outs.add(out)
         assert len(outs) == 1
 
+    def test_calls_in_one_process_see_only_their_arguments(self, capsys, tmp_path,
+                                                           diamond_path):
+        sp = spline_path(tmp_path, "f.json", [1, 1, 1, 1])
+        argv = ["check-basis", "--graph", diamond_path, "--format", "json"]
+        code, out, _ = run(capsys, *argv, *["--spline", sp] * 4)
+        assert code == 1 and json.loads(out)["is_basis"] is False
+        code, out, err = run(capsys, "check-basis", "--format", "yaml")
+        assert code == 2 and out == "" and "usage:" in err
+        code, out, err = run(capsys, *argv, *["--spline", sp] * 3)
+        assert code == 2 and out == ""
+        assert "check-basis needs exactly 4 --spline documents" in err
+        code, out, _ = run(capsys, "invariants", "--graph", diamond_path)
+        assert code == 0 and out.endswith("q_g = 2160\n")
+
     def test_module_entry_point(self, diamond_path):
         proc = subprocess.run(
             [sys.executable, "-m", "graphsplines", "invariants",
@@ -596,30 +619,72 @@ def golden_graphs():
     }
 
 
-def selection_outputs(g, tmp_path):
-    """stdout and stderr of ``selections`` at every vertex and of
-    ``construct`` for every selection there, in JSON."""
-    path = doc_path(tmp_path, {
+def golden_graph_path(g, tmp_path):
+    return doc_path(tmp_path, {
         "domain": g.domain.name,
         "vertices": list(g.vertex_names),
         "edges": [{"u": g.vertex_names[e.u], "v": g.vertex_names[e.v],
                    "label": g.domain.format(e.label)} for e in g.edges],
     })
+
+
+def capture(text, title, argv):
+    """Run ``main`` on ``argv``; append ``title``, the exit code, stdout
+    and stderr to ``text`` and return stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text.append(f"{title} -> {code}\n{out.getvalue()}{err.getvalue()}")
+    return out.getvalue()
+
+
+def selection_outputs(g, tmp_path):
+    """stdout and stderr of ``selections`` at every vertex and of
+    ``construct`` for every selection there, in JSON."""
+    path = golden_graph_path(g, tmp_path)
     text = []
 
-    def capture(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        text.append(f"{' '.join(argv[:1] + argv[3:])} -> {code}\n"
-                    f"{out.getvalue()}{err.getvalue()}")
-        return out.getvalue()
+    def run_json(argv):
+        return capture(text, " ".join(argv[:1] + argv[3:]), argv)
 
     for vertex in range(2, g.n):
         argv = ["--graph", path, "--vertex", str(vertex), "--format", "json"]
-        count = json.loads(capture(["selections", *argv]))["count"]
+        count = json.loads(run_json(["selections", *argv]))["count"]
         for k in range(count):
-            capture(["construct", *argv, "--selection", str(k)])
+            run_json(["construct", *argv, "--selection", str(k)])
+    return "".join(text)
+
+
+def command_outputs(g, tmp_path):
+    """stdout and stderr, in both formats, of ``invariants``, ``trails`` at
+    every vertex, and ``verify`` on the vector of vertex positions and on
+    the top spline; on int graphs also of ``flowup``, ``verify`` on each
+    flow-up spline and ``check-basis`` on the flow-up basis."""
+    path = golden_graph_path(g, tmp_path)
+    d = g.domain
+    vectors = [[d.coerce(k) for k in range(g.n)], top_spline(g)]
+    if d.name == "int":
+        vectors += flowup_basis(g)
+    spline_paths = [spline_path(tmp_path, f"golden{k}.json", [d.format(v) for v in vec])
+                    for k, vec in enumerate(vectors)]
+    text = []
+
+    def run_in(fmt, command, *options, splines=()):
+        # The title names spline documents by index, not by path.
+        argv = [command, "--graph", path, *options, "--format", fmt]
+        for k in splines:
+            argv += ["--spline", spline_paths[k]]
+        capture(text, " ".join([command, *options, fmt, *map(str, splines)]), argv)
+
+    for fmt in ("json", "text"):
+        run_in(fmt, "invariants")
+        for vertex in range(2, g.n + 1):
+            run_in(fmt, "trails", "--vertex", str(vertex))
+        for k in range(len(vectors)):
+            run_in(fmt, "verify", splines=[k])
+        if d.name == "int":
+            run_in(fmt, "flowup")
+            run_in(fmt, "check-basis", splines=range(2, len(vectors)))
     return "".join(text)
 
 
@@ -639,4 +704,23 @@ class TestGoldenSelections:
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_selections_and_construct_json(self, tmp_path, name):
         text = selection_outputs(golden_graphs()[name], tmp_path)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]
+
+
+class TestGoldenCommands:
+    # sha256 of ``command_outputs`` on the graphs of ``golden_graphs``,
+    # recorded before selections were realized in one pass per trail.
+    DIGESTS = {
+        "diamond": "7fea66a6130e042438c825f1b1154a8aee0798f2b0c9b0175bc5a0e5358c921a",
+        "k4": "4e0b7f028a191de6a25fafb51007fa1d96cad9d30795f78692c09492c7b61f6b",
+        "k5": "29e70ecf41a139755a3abf1ce86799ba76afdb19fbe43fc09b6c891bf65aeafe",
+        "k5-repeated": "b548b9468f422731b4865038d6569e136911dc382838ab57879d0a8eb8ed2434",
+        "poly-cycle": "b3b40f7ed6f5acd8366e6f23da49d5301fd9553accd166bf05b836cdd7d7c12c",
+        "poly-k4": "57c31941a2fc6be70fd0fe63f5810f04a8e85499af1a8c7608f50d5d4dd7faf0",
+        "sparse-6": "b61dfee6463cbff7cfefb635294655cece4376256b4e3ef2d75c273a606d38c2",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_other_commands_both_formats(self, tmp_path, name):
+        text = command_outputs(golden_graphs()[name], tmp_path)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]

@@ -359,6 +359,39 @@ class TestSelectionProducts:
         with pytest.raises(ValueError):
             selection_from_labels(diamond, 1, [7])  # no such label
 
+    def test_unrealizable_after_repair(self):
+        # Both long trails of v2 carry a selected label, but two trails
+        # cannot take three labels: v2-v4-v5-v1 carries only 5.
+        g = helpers.make_graph("int", ["v1", "v2", "v3", "v4", "v5"], [
+            ("v1", "v5", 6), ("v2", "v4", 5), ("v3", "v4", 3),
+            ("v3", "v5", 2), ("v4", "v5", 10),
+        ])
+        with pytest.raises(ValueError, match="label set is not realizable as a selection"):
+            selection_from_labels(g, 1, [2, 3, 5])
+
+    def test_repair_backtracks_out_of_a_dead_end(self):
+        # At v4 the three trails first take labels 6, 2, 2, so 3 needs
+        # repair.  Moving the trail on 6 is a dead end (no other trail
+        # carries 6); the second trail then hands over its shared 2.
+        g = helpers.make_graph("int", ["v1", "v2", "v3", "v4", "v5"], [
+            ("v1", "v2", 2), ("v1", "v3", 5), ("v1", "v5", 6), ("v2", "v3", 2),
+            ("v2", "v5", 2), ("v3", "v4", 15), ("v3", "v5", 2), ("v4", "v5", 3),
+        ])
+        s = selection_from_labels(g, 3, [2, 3, 6])
+        assert [t.vertices for t in s.trails] == [(3, 4, 0), (3, 4, 1), (3, 4, 2)]
+        assert s.chosen == (2, 7, 6)
+        assert s.factors == (2, 3, 2)
+        assert s.value == 180
+
+    def test_vertex_without_long_trails(self):
+        g = helpers.make_graph("int", ["v1", "v2", "v3"],
+                               [("v1", "v2", 3), ("v2", "v3", 5)])
+        with pytest.raises(ValueError, match="label set is not realizable as a selection"):
+            selection_from_labels(g, 1, [5])
+        s = selection_from_labels(g, 1, [])
+        assert (s.trails, s.chosen, s.factors, s.labels) == ((), (), (), ())
+        assert (s.product, s.value, s.h_edges) == (1, 3, frozenset())
+
     def test_repair_chain_beyond_the_recursion_limit(self):
         # Trails v2-a_j-v1: trail 0 carries only p_0, trail j > 0 carries
         # p_(j-1) on its lower edge and p_j on the other.  Every trail
