@@ -48,7 +48,7 @@ class BasisVerdict:
 
     determinant: object
     q: object
-    quotient: Optional[object]
+    quotient: object
     is_basis: bool
 
 

@@ -52,10 +52,13 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _vertex_index(g: graphs.LabeledGraph, vertex: int, top: int) -> int:
-    # Command line indices are 1-based positions in the vertex order.
+def _vertex_index(g: graphs.LabeledGraph, vertex: int, what: str, after: int) -> int:
+    # Command line indices are 1-based positions in the vertex order; a
+    # vertex needs an earlier one and ``after`` later ones.
     if vertex is None:
         raise ValueError("this command needs --vertex")
+    if (top := g.n - after) < 2:
+        raise ValueError(f"{what} need a graph with at least {after + 2} vertices")
     if not 2 <= vertex <= top:
         raise ValueError(f"--vertex must be between 2 and {top}")
     return vertex - 1
@@ -78,15 +81,10 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     values = _load_spline(args.spline, g)
     d = g.domain
-    checked = []
-    violation = None
-    for e in g.edges:
-        diff = d.sub(values[e.u], values[e.v])
-        ok = d.divides(e.label, diff)
-        checked.append((e, diff, ok))
-        if not ok:
-            violation = e
-            break
+    violation = splines.first_violation(g, values)
+    last = g.m if violation is None else violation.index + 1
+    checked = [(e, d.sub(values[e.u], values[e.v]), e is not violation)
+               for e in g.edges[:last]]
     if args.format == "json":
         _emit_json({
             "is_spline": violation is None,
@@ -124,7 +122,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_trails(args) -> int:
     g = _load_graph(args.graph)
-    i = _vertex_index(g, args.vertex, g.n)
+    i = _vertex_index(g, args.vertex, "zero trails", 0)
     d = g.domain
     trails = graphs.zero_trails(g, i, args.max_trails)
     if args.format == "json":
@@ -171,7 +169,7 @@ def _selection_obj(g: graphs.LabeledGraph, sel_id: int,
 
 def _cmd_selections(args) -> int:
     g = _load_graph(args.graph)
-    i = _vertex_index(g, args.vertex, g.n - 1)
+    i = _vertex_index(g, args.vertex, "selections", 1)
     d = g.domain
     sels = splines.minimal_selections(g, i, args.max_trails)
     if args.format == "json":
@@ -191,21 +189,19 @@ def _cmd_selections(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _load_graph(args.graph)
-    if g.is_complete:
-        k = g
-    else:
-        k = graphs.completion(g)
-        added = k.m - g.m
-        print(f"note: completed the graph with {added} unit-labeled edges; "
+    k = graphs.completion(g)
+    if k.m > g.m:
+        print(f"note: completed the graph with {k.m - g.m} unit-labeled edges; "
               "selection ids refer to the completion", file=sys.stderr)
-    i = _vertex_index(k, args.vertex, k.n - 1)
-    sels = splines.minimal_selections(k, i, args.max_trails)
-    if not 0 <= args.selection < len(sels):
+    i = _vertex_index(k, args.vertex, "selections", 1)
+    at = splines._VertexSelections(k, i, args.max_trails)
+    keysets = at.minimal_keysets()
+    if not 0 <= args.selection < len(keysets):
         raise ValueError(
             f"selection id {args.selection} out of range; "
-            f"{len(sels)} minimal selections exist"
+            f"{len(keysets)} minimal selections exist"
         )
-    sel = sels[args.selection]
+    sel = at.select(keysets[args.selection])
     values = splines.selection_spline(k, sel)
     d = k.domain
     labels = ", ".join(d.format(lab) for lab in sel.labels)
@@ -221,7 +217,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check_basis(args) -> int:
     g = _load_graph(args.graph)
-    if not args.spline or len(args.spline) != g.n:
+    if len(args.spline) != g.n:
         raise ValueError(f"check-basis needs exactly {g.n} --spline documents")
     candidates = [_load_spline(p, g) for p in args.spline]
     verdict = basis_mod.check_basis(g, candidates)
@@ -229,7 +225,7 @@ def _cmd_check_basis(args) -> int:
     payload = {
         "determinant": d.format(verdict.determinant),
         "q_g": d.format(verdict.q),
-        "quotient": None if verdict.quotient is None else d.format(verdict.quotient),
+        "quotient": d.format(verdict.quotient),
         "is_basis": verdict.is_basis,
     }
     if args.format == "json":

@@ -40,8 +40,6 @@ class Edge:
 class Trail:
     """Edge-simple walk; ``edges`` holds edge indices in traversal order."""
 
-    start: int
-    end: int
     edges: tuple[int, ...]
     vertices: tuple[int, ...]
     gcd: object
@@ -176,8 +174,6 @@ def completion(g: LabeledGraph) -> LabeledGraph:
 def _trail(g: LabeledGraph, vertices: list[int], edges: list[int]) -> Trail:
     labels = [g.edges[k].label for k in edges]
     return Trail(
-        start=vertices[0],
-        end=vertices[-1],
         edges=tuple(edges),
         vertices=tuple(vertices),
         gcd=g.domain.gcd_all(labels),

@@ -208,9 +208,6 @@ class Domain:
 
     name = "?"
 
-    def add(self, a, b):
-        return a + b
-
     def sub(self, a, b):
         return a - b
 

@@ -205,9 +205,8 @@ class _VertexSelections:
 
     def __init__(self, g: LabeledGraph, i: int, max_trails: int):
         if not 1 <= i <= g.n - 2:
-            raise ValueError(
-                f"selections exist for vertex indices 1..{g.n - 2}, got {i}"
-            )
+            raise ValueError(f"selections exist for vertex indices 1..{g.n - 2}, got {i}"
+                             if g.n > 2 else "selections need a graph with at least 3 vertices")
         d = g.domain
         self.graph, self.vertex = g, i
         self.key: dict = {}
@@ -410,7 +409,8 @@ def selection_spline(k: LabeledGraph, a: Selection) -> list:
         raise ValueError("selection was computed on a different graph")
     i = a.vertex
     if not 1 <= i <= k.n - 2:
-        raise ValueError(f"construction applies to vertex indices 1..{k.n - 2}")
+        raise ValueError(f"construction applies to vertex indices 1..{k.n - 2}" if k.n > 2
+                         else "the selection construction needs at least 3 vertices")
     d = k.domain
     x = a.value
     values = [d.zero] * k.n

@@ -183,7 +183,7 @@ def naive_cofactor_det(domain, rows):
             continue
         minor = [row[:c] + row[c + 1:] for row in rows[1:]]
         term = domain.mul(a, naive_cofactor_det(domain, minor))
-        total = domain.add(total, term) if c % 2 == 0 else domain.sub(total, term)
+        total = total + term if c % 2 == 0 else total - term
     return total
 
 
@@ -217,7 +217,7 @@ def enumerate_trails(g: LabeledGraph, start: int, end: int,
                     raise TrailLimitError(
                         f"more than {max_trails} trails; raise the cap to continue"
                     )
-                results.append(Trail(start, w, tuple(path_edges), tuple(path_vertices),
+                results.append(Trail(tuple(path_edges), tuple(path_vertices),
                                      g.domain.gcd_all(g.edges[k].label for k in path_edges)))
             visit(w)
             path_vertices.pop()

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from graphsplines import flowup_basis, top_spline
+from graphsplines import flowup_basis, splines, top_spline
 from graphsplines.cli import main
 from graphsplines.rings import MAX_DEGREE
 
@@ -69,6 +69,14 @@ def primes(count):
     return out
 
 
+def distinct_complete_doc(n):
+    names = [f"v{k}" for k in range(1, n + 1)]
+    labels = iter(primes(n * (n - 1) // 2))
+    return helpers.graph_doc("int", names, [
+        (a, b, next(labels)) for a, b in itertools.combinations(names, 2)
+    ])
+
+
 def cycle_doc(n, label):
     names = [f"v{k}" for k in range(1, n + 1)]
     return helpers.graph_doc("int", names, [
@@ -98,6 +106,34 @@ class TestVerify:
             "index": 0, "u": "v1", "v": "v2", "label": "5",
             "difference": "-1", "ok": False,
         }
+
+    # The first failing edge sits inside the edge list: v1-v4 (label 6,
+    # difference -1) in the diamond, v1-v3 (label x+1, difference -1) in
+    # the polynomial triangle.
+    @pytest.mark.parametrize("graph, values, failing", [
+        ("diamond", [0, 5, 4, 1], 2),
+        ("poly", ["0", "x", "1"], 1),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_lists_edges_through_the_first_failure(self, capsys, tmp_path, request,
+                                                   graph, values, failing, fmt):
+        g = request.getfixturevalue(f"{graph}_path")
+        sp = spline_path(tmp_path, "f.json", values)
+        code, out, _ = run(capsys, "verify", "--graph", g, "--spline", sp,
+                           "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["is_spline"] is False
+            assert [e["index"] for e in doc["edges"]] == list(range(failing + 1))
+            assert [e["ok"] for e in doc["edges"]] == [True] * failing + [False]
+            assert doc["edges"][-1]["difference"] == "-1"
+        else:
+            lines = out.splitlines()
+            assert len(lines) == failing + 2
+            assert all(": ok (" in line for line in lines[:failing])
+            assert lines[failing].endswith(": FAIL (difference -1)")
+            assert lines[-1] == f"not a spline: edge {lines[failing].split()[1]} fails"
 
     def test_parse_error_exits_2(self, capsys, tmp_path, diamond_path):
         sp = tmp_path / "bad.json"
@@ -209,6 +245,18 @@ class TestTrails:
                            "--vertex", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("command, n", [
+        ("trails", 1), ("selections", 1), ("selections", 2), ("construct", 1), ("construct", 2),
+    ])
+    def test_too_few_vertices_named(self, capsys, tmp_path, command, n):
+        doc = helpers.graph_doc("int", ["v1", "v2"][:n], [("v1", "v2", 7)][:n - 1])
+        code, out, err = run(capsys, command, "--graph", doc_path(tmp_path, doc),
+                             "--vertex", "2")
+        assert code == 2 and out == ""
+        assert err == ("error: zero trails need a graph with at least 2 vertices\n"
+                       if command == "trails" else
+                       "error: selections need a graph with at least 3 vertices\n")
+
     def test_cap_exits_2(self, capsys, tmp_path):
         doc = helpers.graph_doc("int", ["v1", "v2", "v3", "v4"], [
             (a, b, 2) for a, b in [("v1", "v2"), ("v1", "v3"), ("v1", "v4"),
@@ -290,13 +338,8 @@ class TestSelections:
         # than a minute already on K7, the label-cut enumeration here a
         # fraction of a second.  Text output prints one line per selection
         # rather than one choice per trail.
-        names = [f"v{k}" for k in range(1, 9)]
-        labels = iter(primes(28))
-        doc = helpers.graph_doc("int", names, [
-            (a, b, next(labels)) for a, b in itertools.combinations(names, 2)
-        ])
-        code, out, _ = run(capsys, "selections", "--graph", doc_path(tmp_path, doc),
-                           "--vertex", "2")
+        code, out, _ = run(capsys, "selections", "--graph",
+                           doc_path(tmp_path, distinct_complete_doc(8)), "--vertex", "2")
         assert code == 0
         lines = out.splitlines()
         assert lines[-1] == "64 minimal selections at v2"
@@ -327,6 +370,27 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--graph", diamond_path,
                            "--vertex", "2", "--selection", "99")
         assert code == 2 and "out of range" in err
+
+    def test_realizes_only_the_printed_selection(self, capsys, tmp_path, monkeypatch):
+        # Distinct-label K6 has 16 minimal selections at v2; only one is built.
+        calls = []
+        select = splines._VertexSelections.select
+        monkeypatch.setattr(splines._VertexSelections, "select",
+                            lambda at, keyset: calls.append(keyset) or select(at, keyset))
+        code, out, err = run(capsys, "construct", "--graph",
+                             doc_path(tmp_path, distinct_complete_doc(6)),
+                             "--vertex", "2", "--selection", "5")
+        assert code == 0 and "note: selection 5 uses labels" in err
+        assert len(out.splitlines()) == 6
+        assert len(calls) == 1
+
+    def test_selection_id_past_the_count(self, capsys, tmp_path):
+        code, out, err = run(capsys, "construct", "--graph",
+                             doc_path(tmp_path, distinct_complete_doc(6)),
+                             "--vertex", "2", "--selection", "16")
+        assert code == 2 and out == ""
+        assert ("error: selection id 16 out of range; "
+                "16 minimal selections exist") in err
 
 
 class TestCheckBasis:

@@ -172,8 +172,10 @@ class TestZeroTrails:
         graphs += [helpers.random_connected_graph(rng, n) for n in (3, 4, 5, 5)]
         for g in graphs:
             for i in range(1, g.n):
-                got = [t.edges for t in zero_trails(g, i)]
-                assert got == helpers.brute_zero_trails(g, i)
+                trails = zero_trails(g, i)
+                assert [t.edges for t in trails] == helpers.brute_zero_trails(g, i)
+                # a zero trail leaves i and stops at the first earlier vertex
+                assert all(t.vertices[0] == i and t.vertices[-1] < i for t in trails)
 
     def test_top_vertex_only_zero_edges(self, k5):
         assert all(len(t.edges) == 1 for t in zero_trails(k5, k5.n - 1))

@@ -10,6 +10,7 @@ import helpers
 from helpers import enumerate_trails, trail_factor_sets
 from graphsplines import (
     DisconnectedGraphError,
+    Selection,
     SplineConstructionError,
     ZZ,
     ZZX,
@@ -290,6 +291,19 @@ class TestMinimalSelections:
         g = helpers.make_graph("int", ["a", "b"], [("a", "b", 7)])
         with pytest.raises(ValueError):
             minimal_selections(g, 1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_vertices_named(self, n):
+        g = helpers.make_graph("int", ["a", "b"][:n], [("a", "b", 7)][:n - 1])
+        with pytest.raises(ValueError, match="^selections need a graph with at least 3 vertices$"):
+            minimal_selections(g, 1)
+        with pytest.raises(ValueError, match="^selections need a graph with at least 3 vertices$"):
+            selection_from_labels(g, 1, [7])
+        # No library call returns a selection here; build one by hand.
+        s = Selection(graph=g, vertex=1, trails=(), chosen=(), factors=(), labels=(),
+                      product=1, value=1, h_edges=frozenset())
+        with pytest.raises(ValueError, match="^the selection construction needs at least 3 vertices$"):
+            selection_spline(g, s)
 
     @settings(max_examples=220, deadline=None)
     @given(st.data())
