@@ -6,8 +6,8 @@ the determinant of their spline matrix equals a unit times the graph's
 determinant target.  The determinant always has the target as an exact
 divisor, so the verdict reduces to a unit test on the quotient.  There
 is one determinant path, ``determinant``, at every size including the
-empty matrix; it and the integer span solve share one fraction-free
-(Bareiss) elimination.
+empty matrix; it and the integer span solve in a non-triangular basis
+share one fraction-free (Bareiss) elimination.
 
 Over the integers the spline module is the lattice L of vectors f with
 l_e | f_u - f_v on every edge e = uv, and its row Hermite normal form is
@@ -227,8 +227,11 @@ def span_coordinates(g: LabeledGraph, basis: Sequence[Sequence[int]],
     """Integer coordinates of ``f`` in the span of ``basis``, or None.
 
     The basis vectors must be linearly independent.  The system
-    sum_k y_k basis[k] = f is solved exactly by fraction-free elimination
-    and back substitution; None when it has no integer solution.
+    sum_k y_k basis[k] = f is solved exactly; None when it has no integer
+    solution.  A triangular basis, such as the flow-up basis (row k zero
+    before column k and nonzero at k), is solved by substitution over its
+    nonzeros, one exact division per row; any other basis by fraction-free
+    elimination and back substitution.
     """
     if g.domain is not ZZ:
         raise ValueError("span coordinates are computed over the integers only")
@@ -236,6 +239,19 @@ def span_coordinates(g: LabeledGraph, basis: Sequence[Sequence[int]],
     if len(f) != g.n or any(len(b) != g.n for b in rows):
         raise ValueError("vector lengths must match the vertex count")
     k = len(rows)
+    if k <= g.n and all(row[j] and not any(row[:j]) for j, row in enumerate(rows)):
+        rest = list(f)
+        y = []
+        for j, row in enumerate(rows):
+            q, r = divmod(rest[j], row[j])
+            if r:
+                return None
+            y.append(q)
+            if q:
+                for c in range(j + 1, g.n):
+                    if row[c]:
+                        rest[c] -= q * row[c]
+        return None if any(rest[k:]) else y
     system = [[b[j] for b in rows] + [f[j]] for j in range(g.n)]
     if not _fraction_free_eliminate(ZZ, system, k):
         raise ValueError("basis vectors are linearly dependent")

@@ -4,6 +4,7 @@ Subcommands operate on graph documents and spline documents (JSON, see
 the module docstrings of ``graphs`` and the README).  Exit codes: 0 for
 success or an affirmative verdict, 1 for a negative verdict, 2 for any
 input or usage problem.  Output is deterministic for identical inputs.
+``--format json`` output is byte for byte ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import basis as basis_mod
 from . import graphs, splines
@@ -48,8 +50,76 @@ def _load_spline(path: str, g: graphs.LabeledGraph) -> list:
     return [g.domain.parse(v) for v in values]
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document of
+    dicts with str keys, lists, str, int, bool and None; any other value
+    raises TypeError.
+
+    One pass over the document into one list of pieces, joined once; the
+    standard library's encoder runs in pure Python whenever ``indent`` is
+    set (before Python 3.13).  The commands share edge, path and choice
+    objects between the places they appear, so the text of a small
+    container is kept by identity and depth and reused.  The identities
+    are stable because ``doc`` holds every node until the text is built.
+    Large texts are not kept, so what is kept is at most about the size
+    of the output.
+    """
+    texts = {}
+    out = []
+    append = out.append
+
+    def emit(obj, newline):
+        kind = type(obj)
+        if kind is str:
+            append(encode_basestring_ascii(obj))
+        elif kind is int:
+            append(int.__repr__(obj))
+        elif kind is dict or kind is list:
+            if not obj:
+                append("{}" if kind is dict else "[]")
+                return
+            key = (id(obj), newline)
+            text = texts.get(key)
+            if text is not None:
+                append(text)
+                return
+            start = len(out)
+            inner = newline + "  "
+            sep = "," + inner
+            if kind is dict:
+                lead = "{" + inner
+                for k, v in obj.items():
+                    append(lead + encode_basestring_ascii(k) + ": ")
+                    emit(v, inner)
+                    lead = sep
+                append(newline + "}")
+            else:
+                lead = "[" + inner
+                for v in obj:
+                    append(lead)
+                    emit(v, inner)
+                    lead = sep
+                append(newline + "]")
+            # An edge, a path or a choice; not a selection or a document.
+            if len(out) - start <= 64:
+                text = "".join(out[start:])
+                if len(text) <= 1024:
+                    texts[key] = text
+                    out[start:] = [text]
+        elif kind is bool or obj is None:
+            append(_LITERALS[obj])
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    emit(doc, "\n")
+    return "".join(out)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
 
 
 def _vertex_index(g: graphs.LabeledGraph, vertex: int, what: str, after: int) -> int:
@@ -71,6 +141,11 @@ def _edge_obj(g: graphs.LabeledGraph, e: graphs.Edge) -> dict:
         "v": g.vertex_names[e.v],
         "label": g.domain.format(e.label),
     }
+
+
+def _edge_objs(g: graphs.LabeledGraph) -> list[dict]:
+    """One edge object per graph edge, by index, for a command to share."""
+    return [_edge_obj(g, e) for e in g.edges]
 
 
 def _edge_name(g: graphs.LabeledGraph, e: graphs.Edge) -> str:
@@ -125,13 +200,14 @@ def _cmd_trails(args) -> int:
     i = _vertex_index(g, args.vertex, "zero trails", 0)
     d = g.domain
     trails = graphs.zero_trails(g, i, args.max_trails)
+    edges = _edge_objs(g)
     if args.format == "json":
         _emit_json({
             "vertex": g.vertex_names[i],
             "trails": [
                 {
                     "path": [g.vertex_names[v] for v in t.vertices],
-                    "edges": [_edge_obj(g, g.edges[k]) for k in t.edges],
+                    "edges": [edges[k] for k in t.edges],
                     "gcd": d.format(t.gcd),
                 }
                 for t in trails
@@ -140,30 +216,47 @@ def _cmd_trails(args) -> int:
     else:
         for t in trails:
             path = "-".join(g.vertex_names[v] for v in t.vertices)
-            labels = ", ".join(d.format(g.edges[k].label) for k in t.edges)
+            labels = ", ".join(edges[k]["label"] for k in t.edges)
             print(f"trail {path}: labels [{labels}] gcd {d.format(t.gcd)}")
         print(f"{len(trails)} zero trails of {g.vertex_names[i]}")
     return 0
 
 
-def _selection_obj(g: graphs.LabeledGraph, sel_id: int,
-                   sel: splines.Selection) -> dict:
-    d = g.domain
-    return {
-        "id": sel_id,
-        "vertex": g.vertex_names[sel.vertex],
-        "vertex_index": sel.vertex + 1,
-        "labels": [d.format(lab) for lab in sel.labels],
-        "choices": [
-            {
-                "path": [g.vertex_names[v] for v in t.vertices],
-                "chosen_edge": _edge_obj(g, g.edges[e]),
-                "factor": d.format(f),
+def _selections_doc(g: graphs.LabeledGraph, i: int,
+                    sels: list[splines.Selection]) -> dict:
+    # Every selection at a vertex lists the same trails, so each trail has
+    # one path list and each (trail, chosen edge) pair one choice object,
+    # shared by the selections that make that choice.
+    d, names = g.domain, g.vertex_names
+    edges = _edge_objs(g)
+    trails = sels[0].trails if sels else ()
+    paths = [[names[v] for v in t.vertices] for t in trails]
+    choices = [{} for _ in trails]
+
+    def choice(k, e, f):
+        obj = choices[k].get(e)
+        if obj is None:
+            obj = choices[k][e] = {
+                "path": paths[k], "chosen_edge": edges[e], "factor": d.format(f),
             }
-            for t, e, f in zip(sel.trails, sel.chosen, sel.factors)
+        return obj
+
+    return {
+        "vertex": names[i],
+        "count": len(sels),
+        "selections": [
+            {
+                "id": sel_id,
+                "vertex": names[sel.vertex],
+                "vertex_index": sel.vertex + 1,
+                "labels": [d.format(lab) for lab in sel.labels],
+                "choices": [choice(k, e, f) for k, (e, f)
+                            in enumerate(zip(sel.chosen, sel.factors))],
+                "product": d.format(sel.product),
+                "value": d.format(sel.value),
+            }
+            for sel_id, sel in enumerate(sels)
         ],
-        "product": d.format(sel.product),
-        "value": d.format(sel.value),
     }
 
 
@@ -173,11 +266,7 @@ def _cmd_selections(args) -> int:
     d = g.domain
     sels = splines.minimal_selections(g, i, args.max_trails)
     if args.format == "json":
-        _emit_json({
-            "vertex": g.vertex_names[i],
-            "count": len(sels),
-            "selections": [_selection_obj(g, k, s) for k, s in enumerate(sels)],
-        })
+        _emit_json(_selections_doc(g, i, sels))
     else:
         for k, s in enumerate(sels):
             labels = ", ".join(d.format(lab) for lab in s.labels)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from graphsplines import basis as basis_mod
 from graphsplines import (
     DisconnectedGraphError,
     InternalConsistencyError,
@@ -213,9 +214,10 @@ def int_graphs(draw):
 
 
 class TestKernelOracle:
-    """The Hermite form taken modulo the label lcm and the fraction-free
-    span solve against the kernel construction and the transform-tracking
-    span solve in ``helpers``."""
+    """The Hermite form taken modulo the label lcm and both span solves
+    (substitution on triangular bases, fraction-free elimination on the
+    others) against the kernel construction and the transform-tracking
+    span solve in ``helpers``, and against each other."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -242,8 +244,12 @@ class TestKernelOracle:
             probes = [member, [rng.randint(-50, 50) for _ in range(n)]]
             probes += [member[:j] + [member[j] + 1] + member[j + 1:] for j in range(n)]
             for f in probes:
-                assert (span_coordinates(g, b, f)
-                        == helpers.hermite_span_coordinates(g, b, f))
+                want = helpers.hermite_span_coordinates(g, b, f)
+                assert span_coordinates(g, b, f) == want
+                # Reversed, a triangular basis of two or more rows is no
+                # longer triangular and goes through the elimination.
+                back = span_coordinates(g, b[::-1], f)
+                assert back == (None if want is None else want[::-1])
             assert span_coordinates(g, b, member) == coeffs
             if b:
                 dependent = [list(row) for row in b]
@@ -271,6 +277,21 @@ class TestSpanCoordinates:
                 DIAMOND_FLOWUPS[2], DIAMOND_FLOWUPS[3]]
         with pytest.raises(ValueError, match="dependent"):
             span_coordinates(diamond, cols, [1, 1, 1, 1])
+
+    def test_triangular_basis_needs_no_elimination(self, monkeypatch):
+        def eliminate(*args):
+            raise AssertionError("a triangular basis went through elimination")
+
+        monkeypatch.setattr(basis_mod, "_fraction_free_eliminate", eliminate)
+        rng = random.Random(137)
+        g = helpers.random_sparse_graph(rng, 14, 30)
+        base = flowup_basis(g)
+        coeffs = [rng.randint(-9, 9) for _ in base]
+        member = [sum(c * b[r] for c, b in zip(coeffs, base)) for r in range(g.n)]
+        assert span_coordinates(g, base, member) == coeffs
+        assert base[-1][-1] > 1
+        member[-1] += 1
+        assert span_coordinates(g, base, member) is None
 
     def test_round_trip_random(self):
         rng = random.Random(131)

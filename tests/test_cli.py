@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from graphsplines import flowup_basis, splines, top_spline
+from graphsplines import cli, flowup_basis, splines, top_spline
 from graphsplines.cli import main
 from graphsplines.rings import MAX_DEGREE
 
@@ -521,6 +521,59 @@ class TestSplineValues:
         assert "set_int_max_str_digits" not in err
 
 
+# Text for the JSON renderer: non-ASCII, quotes, backslashes and control
+# characters come up often.
+JSON_TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+                    | st.characters(), max_size=6)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=10 ** 29).flatmap(
+                   lambda v: st.sampled_from([v, -v]))
+               | JSON_TEXT)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonRenderer:
+    # ``cli._dumps`` against its oracle, ``json.dumps(doc, indent=2)``.
+    @settings(max_examples=200, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_dict=st.dictionaries(JSON_TEXT, JSON_DOCS, min_size=1, max_size=3),
+           shared_list=st.lists(JSON_DOCS, min_size=1, max_size=3),
+           other=JSON_DOCS)
+    def test_shared_containers_at_two_depths(self, shared_dict, shared_list, other):
+        # One object at two depths has two texts, so the kept text of a
+        # container must be keyed by its depth as well as its identity.
+        doc = {
+            "d": shared_dict,
+            "l": shared_list,
+            "deeper": [other, {"d": shared_dict, "l": [shared_list, shared_list]}],
+            "again": shared_dict,
+            "empty": [[], {}, [[]], {"e": {}}],
+        }
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_edge_documents(self):
+        for doc in ({}, [], "", 0, True, False, None, 10 ** 40, -(10 ** 40),
+                    [{}], {"": []}, {"\u00e9\"\\\x01": ["\U0001f600"]}):
+            assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [1.5, [1, (2, 3)], {"a": {"b": 0.0}},
+                                     {1: "int key"}, {"s": {1, 2}}, [b"bytes"]],
+                             ids=["float", "tuple", "nested-float", "int-key",
+                                  "set", "bytes"])
+    def test_unsupported_values_raise(self, doc):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
+
+
 class TestDriver:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -788,3 +841,16 @@ class TestGoldenCommands:
     def test_other_commands_both_formats(self, tmp_path, name):
         text = command_outputs(golden_graphs()[name], tmp_path)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]
+
+    # sha256 of stdout of ``selections --format json`` at v2 of K7 with
+    # distinct prime labels, recorded before the JSON renderer replaced
+    # ``json.dumps``: 3 383 034 bytes, 32 selections that repeat the
+    # choices of 325 trails.
+    K7_SELECTIONS = "15e6fb785fe45a25c1c39800efbcb1b22a3284a05b428949356e55a5b69dcef8"
+
+    def test_selections_json_with_repeated_choices(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "selections", "--graph",
+                           doc_path(tmp_path, distinct_complete_doc(7)),
+                           "--vertex", "2", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.K7_SELECTIONS
