@@ -166,11 +166,9 @@ def _hermite_column(rows: list[list[int]], entries: list[int], modulus: int,
             rest.append(row)
             continue
         if a % p == 0:
+            # The general step covers this case too, but rebuilds the pivot.
             q = a // p
             row = [(s - q * t) % M for s, t in zip(row, pivot)]
-        elif p % a == 0:
-            q = p // a
-            row, pivot, p = [(t - q * s) % M for s, t in zip(row, pivot)], row, a
         else:
             g = math.gcd(a, p)
             pa, pp = a // g, p // g

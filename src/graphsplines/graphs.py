@@ -171,15 +171,6 @@ def completion(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.domain, g.vertex_names, edges)
 
 
-def _trail(g: LabeledGraph, vertices: list[int], edges: list[int]) -> Trail:
-    labels = [g.edges[k].label for k in edges]
-    return Trail(
-        edges=tuple(edges),
-        vertices=tuple(vertices),
-        gcd=g.domain.gcd_all(labels),
-    )
-
-
 def zero_trails(g: LabeledGraph, i: int,
                 max_trails: int = DEFAULT_TRAIL_LIMIT) -> list[Trail]:
     """Containment-reduced zero trails of vertex ``i`` (0-based, ``i >= 1``).
@@ -199,16 +190,22 @@ def zero_trails(g: LabeledGraph, i: int,
       vertex.
 
     So the reduced family is enumerated here directly as simple paths.
+    Each path carries the gcd of its prefix, one ``gcd`` per step.  The
+    walk takes neighbours in edge-index order and never extends a zero
+    trail, so its preorder is already sorted by ``edges``.
     """
     if i < 1:
         raise ValueError("the first vertex has no zero trails")
     if i >= g.n:
         raise ValueError(f"vertex index {i} out of range")
+    d = g.domain
     results: list[Trail] = []
     on_path = [False] * g.n
     on_path[i] = True
     path_vertices = [i]
     path_edges: list[int] = []
+    # gcds[k] is the gcd of the labels of path_edges[:k].
+    gcds = [d.zero]
     # One neighbor iterator per path vertex: an explicit depth-first
     # stack, so path length is not bounded by the recursion limit.
     pending = [iter(g.neighbors(i))]
@@ -216,9 +213,11 @@ def zero_trails(g: LabeledGraph, i: int,
         for edge_index, w in pending[-1]:
             if on_path[w]:
                 continue
-            path_edges.append(edge_index)
-            path_vertices.append(w)
+            x = d.gcd(gcds[-1], g.edges[edge_index].label)
             if w >= i:
+                path_edges.append(edge_index)
+                path_vertices.append(w)
+                gcds.append(x)
                 on_path[w] = True
                 pending.append(iter(g.neighbors(w)))
                 break
@@ -227,13 +226,11 @@ def zero_trails(g: LabeledGraph, i: int,
                     f"vertex {g.vertex_names[i]} has more than {max_trails} "
                     "zero trails; raise the cap to continue"
                 )
-            results.append(_trail(g, path_vertices, path_edges))
-            path_vertices.pop()
-            path_edges.pop()
+            results.append(Trail((*path_edges, edge_index), (*path_vertices, w), x))
         else:
             pending.pop()
             if path_edges:
                 on_path[path_vertices.pop()] = False
                 path_edges.pop()
-    results.sort(key=lambda t: t.edges)
+                gcds.pop()
     return results

@@ -107,6 +107,9 @@ class IntPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it hashes like it.
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("IntPoly", self.coeffs))
 
     def __neg__(self) -> "IntPoly":

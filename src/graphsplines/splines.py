@@ -199,9 +199,8 @@ def _repair(trails: Sequence[Trail], choice: list[int], keyset: frozenset[int],
 
 class _VertexSelections:
     """What every selection at vertex ``i`` shares, built once: the long
-    zero trails with their edge indices sorted, the leading value, and the
-    key of each label, the smallest edge index carrying its canonical
-    associate."""
+    zero trails, the leading value, and the key of each label, the
+    smallest edge index carrying its canonical associate."""
 
     def __init__(self, g: LabeledGraph, i: int, max_trails: int):
         if not 1 <= i <= g.n - 2:
@@ -216,7 +215,6 @@ class _VertexSelections:
         self.trails = tuple(
             t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
         )
-        self.sorted_edges = [sorted(t.edges) for t in self.trails]
         self.lead = leading_value(g, i)
 
     def minimal_keysets(self) -> list[frozenset[int]]:
@@ -228,15 +226,18 @@ class _VertexSelections:
         branch lives only while every vertex kept out reaches an earlier one
         outside S without the edges of keys already cut.  A leaf is kept if
         dropping any one key reconnects ``i``; with distinct labels all are.
+        The exits, the later vertices with the keys of their edges to
+        earlier ones, are listed once per call.
         """
         g, i, key = self.graph, self.vertex, self.edge_key
         adj = [[(key[k], w) for k, w in g.neighbors(v) if max(v, w) > i] for v in range(g.n)]
+        exits = [(v, keys) for v in range(i, g.n)
+                 if (keys := {k for k, w in adj[v] if w < i})]
 
         def escaping(side: frozenset, cut: frozenset) -> set[int]:
             """Vertices ``>= i`` outside ``side`` that reach an earlier one
             avoiding ``side`` and the edges whose key is in ``cut``."""
-            work = [v for v in range(i, g.n) if v not in side
-                    and any(w < i and k not in cut for k, w in adj[v])]
+            work = [v for v, keys in exits if v not in side and not keys <= cut]
             seen = set(work)
             while work:
                 for k, w in adj[work.pop()]:
@@ -272,14 +273,14 @@ class _VertexSelections:
         g, d, trails, key = self.graph, self.graph.domain, self.trails, self.edge_key
         h_edges = frozenset(e for e, k in enumerate(key) if k in keyset)
         choice = []
-        for t, edges in zip(trails, self.sorted_edges):
-            e = next((e for e in edges if e in h_edges), None)
-            if e is None:
+        for t in trails:
+            common = h_edges.intersection(t.edges)
+            if not common:
                 raise ValueError(
                     "label set misses the trail through "
                     + "-".join(g.vertex_names[v] for v in t.vertices)
                 )
-            choice.append(e)
+            choice.append(min(common))
         if len({key[e] for e in choice}) < len(keyset):
             choice = _repair(trails, choice, keyset, key)
         factors = tuple(

@@ -258,6 +258,20 @@ class TestKernelOracle:
                     with pytest.raises(ValueError, match="dependent"):
                         solve(g, dependent, member)
 
+    @pytest.mark.parametrize("edges, want", [
+        ([("v1", "v2", 6), ("v1", "v3", 4), ("v2", "v3", 2)],
+         [[1, 1, 1], [0, 6, 0], [0, 0, 4]]),
+        ([("v1", "v2", 6), ("v2", "v3", 4)],
+         [[1, 1, 1], [0, 6, 2], [0, 0, 4]]),
+    ])
+    def test_entry_dividing_the_pivot(self, edges, want):
+        # Column entries that properly divide the current pivot: 1 | 6 and
+        # 2 | 4 at the edge columns, 6 | 12 and 4 | 12 at the vertex columns
+        # (M = 12).  ``_hermite_column`` meets them with its general
+        # extended-gcd step (x = 1, y = 0); this pins that step.
+        g = helpers.make_graph("int", ["v1", "v2", "v3"], edges)
+        assert flowup_basis(g) == helpers.kernel_flowup_basis(g) == want
+
 
 class TestSpanCoordinates:
     def test_basis_element(self, diamond):

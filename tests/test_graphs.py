@@ -168,12 +168,26 @@ class TestZeroTrails:
 
     def test_matches_bruteforce_pruning(self):
         rng = random.Random(23)
-        graphs = [helpers.diamond(), helpers.k4_distinct(), helpers.k5_distinct()]
+        graphs = [helpers.diamond(), helpers.k4_distinct(), helpers.k5_distinct(),
+                  helpers.poly_cycle()]
         graphs += [helpers.random_connected_graph(rng, n) for n in (3, 4, 5, 5)]
+        # The same shapes over ZZX, with labels that share factors.
+        pool = ["x", "x+1", "2*x", "x^2+x", "x^2-1", "3", "-1"]
+        for n in (3, 4, 5, 5, 6):
+            shape = helpers.random_connected_graph(rng, n)
+            names = shape.vertex_names
+            graphs.append(helpers.make_graph("intpoly", names, [
+                (names[e.u], names[e.v], rng.choice(pool)) for e in shape.edges
+            ]))
         for g in graphs:
             for i in range(1, g.n):
                 trails = zero_trails(g, i)
                 assert [t.edges for t in trails] == helpers.brute_zero_trails(g, i)
+                # the walk's preorder is already sorted, and the prefix gcd
+                # it carries is the gcd of the trail's labels
+                assert trails == sorted(trails, key=lambda t: t.edges)
+                assert all(t.gcd == g.domain.gcd_all(g.edges[k].label for k in t.edges)
+                           for t in trails)
                 # a zero trail leaves i and stops at the first earlier vertex
                 assert all(t.vertices[0] == i and t.vertices[-1] < i for t in trails)
 

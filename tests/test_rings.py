@@ -166,6 +166,25 @@ class TestPolynomialProperties:
         assert ZZX.divides(ZZX.canonical(g), ZZX.gcd(p * g, q * g))
 
 
+class TestIntPolyHash:
+    def test_constants_meet_ints(self):
+        assert 3 in {IntPoly((3,))} and IntPoly((3,)) in {3}
+        assert IntPoly() in {0} and {0: "zero"}[IntPoly()] == "zero"
+        assert IntPoly((0, 1)) not in {0, 1}
+
+    @settings(deadline=None)
+    @given(p=polys, c=st.integers(min_value=-40, max_value=40))
+    def test_equal_values_hash_equal(self, p, c):
+        const = IntPoly((c,))
+        for a, b in ((p, IntPoly(p.coeffs)), (const, c), (const, IntPoly((c, 0))),
+                     (p, c), (p, const)):
+            assert (a == b) == (b == a)
+            if a == b:
+                assert hash(a) == hash(b)
+            assert (a in {b}) == (b in {a}) == (a == b)
+            assert ({b: 0}.get(a, 1) == 0) == ({a: 0}.get(b, 1) == 0) == (a == b)
+
+
 class TestParseLimits:
     # 10^4999 + 7 has more digits than the interpreter's default int/str
     # limit of 4300.

@@ -317,6 +317,15 @@ class TestMinimalSelections:
                 [(s.labels, s.trails, s.chosen, s.factors, s.product, s.value)
                  for s in want]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_each_trail_takes_its_lowest_selected_edge(self, data):
+        g = data.draw(selection_graphs())
+        for i in range(1, g.n - 1):
+            for s in minimal_selections(g, i):
+                assert s.chosen == tuple(min(e for e in t.edges if e in s.h_edges)
+                                         for t in s.trails)
+
     def test_sparse_n30_wall(self):
         # A hitting-set search over this vertex's 62 long trails takes more
         # than a minute; the label-cut enumeration takes under a second.
