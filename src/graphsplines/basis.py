@@ -7,7 +7,15 @@ determinant target.  The determinant always has the target as an exact
 divisor, so the verdict reduces to a unit test on the quotient.  There
 is one determinant path, ``determinant``, at every size including the
 empty matrix; it and the integer span solve in a non-triangular basis
-share one fraction-free (Bareiss) elimination.
+share one fraction-free (Bareiss) elimination.  Over ZZ[x] it runs on
+integers: the matrix is evaluated at x = 2^k, with 2^(k-1) above a bound
+B on the determinant's coefficients, and the one integer determinant is
+unpacked into its balanced base-2^k digits (Kronecker substitution; von
+zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).  The packed
+integers take (D+1)*k bits, D a degree bound, however sparse the entries
+are, and big-integer division is quadratic; so past 2^20 bits the
+elimination stays over ZZ[x], which is faster on sparse entries such as
+x^D - c.
 
 Over the integers the spline module is the lattice L of vectors f with
 l_e | f_u - f_v on every edge e = uv, and its row Hermite normal form is
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import LabeledGraph
-from .rings import ZZ, Domain
+from .rings import ZZ, ZZX, Domain, IntPoly
 from .splines import determinant_target, first_violation, leading_values
 
 
@@ -97,12 +105,53 @@ def _fraction_free_eliminate(d: Domain, m: list[list], width: int) -> int:
     return sign
 
 
+# Largest packed size (D+1)*k, in bits; see the module docstring.
+_MAX_PACKED_BITS = 1 << 20
+
+
+def _packed_determinant(m: list[list[IntPoly]]) -> Optional[IntPoly]:
+    """det(m) over ZZX by Kronecker substitution, or None past the cap.
+
+    Evaluation at x = 2^k is a ring map Z[x] -> Z, so det(m)(2^k) is the
+    determinant of the integers m(2^k).  Expanding the product of the row
+    sums bounds every coefficient of det(m) by B, the product over rows of
+    the entries' summed absolute coefficients; with 2^(k-1) > B the
+    balanced base-2^k digits of that integer are its coefficients.  k is
+    a whole number of bytes, so digits biased by 2^(k-1) into [0, 2^k)
+    pack and unpack through int.to_bytes and int.from_bytes.
+    """
+    bound = math.prod(sum(abs(c) for p in row for c in p.coeffs) for row in m)
+    if not bound:
+        return IntPoly()
+    # One digit past a degree bound; a zero column (degree -1) means det 0.
+    size = 1 + max(0, min(sum(max(p.degree for p in row) for row in m),
+                          sum(max(p.degree for p in col) for col in zip(*m))))
+    width = bound.bit_length() // 8 + 1
+    if 8 * width * size > _MAX_PACKED_BITS:
+        return None
+    half = 1 << (8 * width - 1)
+    digit = half.to_bytes(width, "little")
+
+    def pack(p: IntPoly) -> int:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in p.coeffs)
+        return int.from_bytes(raw, "little") - int.from_bytes(digit * len(p.coeffs), "little")
+
+    det = determinant(ZZ, [[pack(p) for p in row] for row in m])
+    raw = (det + int.from_bytes(digit * size, "little")).to_bytes(width * size, "little")
+    return IntPoly(int.from_bytes(raw[k:k + width], "little") - half
+                   for k in range(0, len(raw), width))
+
+
 def determinant(d: Domain, rows: list[list]):
     """Exact determinant over an integral domain, sign preserved, by
-    fraction-free elimination; the empty matrix has determinant one."""
+    fraction-free elimination; the empty matrix has determinant one.
+    Over ZZX the elimination runs on packed integers when they are small
+    enough (``_packed_determinant``)."""
     m = [list(row) for row in rows]
     if any(len(row) != len(m) for row in m):
         raise ValueError("determinant needs a square matrix")
+    if d is ZZX and (det := _packed_determinant(m)) is not None:
+        return det
     sign = _fraction_free_eliminate(d, m, len(m))
     if not sign:
         return d.zero

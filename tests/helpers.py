@@ -21,9 +21,11 @@ from typing import Optional, Sequence
 from graphsplines import (
     DEFAULT_TRAIL_LIMIT,
     ZZ,
+    ZZX,
     DisconnectedGraphError,
     Edge,
     InternalConsistencyError,
+    IntPoly,
     LabeledGraph,
     Selection,
     Trail,
@@ -151,6 +153,30 @@ def random_sparse_graph(rng: random.Random, n: int, m: int) -> LabeledGraph:
         (names[u], names[v], math.prod(rng.sample(SMALL_PRIMES, rng.randint(1, 3))))
         for u, v in sorted(pairs)
     ])
+
+
+def random_poly_complete_graph(rng: random.Random, n: int) -> LabeledGraph:
+    """K_n over ZZ[x] labelled c * (x - a1)...(x - ak): k in 1..3 distinct
+    roots from -4..4 and c in {1, 2, 3, 5, 6}."""
+    names = [f"v{k}" for k in range(1, n + 1)]
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        label = ZZX.coerce(rng.choice((1, 2, 3, 5, 6)))
+        for a in rng.sample(range(-4, 5), rng.randint(1, 3)):
+            label = label * IntPoly((-a, 1))
+        edges.append((names[u], names[v], ZZX.format(label)))
+    return make_graph("intpoly", names, edges)
+
+
+def block_splines(g: LabeledGraph) -> list[list]:
+    """The splines F_k, zero before vertex k and equal from k on to the lcm
+    of the labels of the edges that cross from below k to k or above."""
+    d = g.domain
+    out = []
+    for k in range(g.n):
+        lead = d.lcm_all(e.label for e in g.edges if min(e.u, e.v) < k <= max(e.u, e.v))
+        out.append([lead if j >= k else d.zero for j in range(g.n)])
+    return out
 
 
 def permute_vertices(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
@@ -373,13 +399,14 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return m
 
 
-def combine_columns(splines, coef):
-    """Integer column recombination: new spline k = sum_j coef[j][k] * F_j."""
+def combine_columns(splines, coef, zero=0):
+    """Integer column recombination: new spline k = sum_j coef[j][k] * F_j;
+    ``zero`` is the domain's zero."""
     n = len(splines[0])
     out = []
     for k in range(len(splines)):
         out.append([
-            sum(coef[j][k] * splines[j][r] for j in range(len(splines)))
+            sum((coef[j][k] * splines[j][r] for j in range(len(splines))), zero)
             for r in range(n)
         ])
     return out

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from graphsplines import basis as basis_mod
 from graphsplines import (
     DisconnectedGraphError,
     InternalConsistencyError,
+    IntPoly,
     ZZ,
     ZZX,
     check_basis,
@@ -78,6 +81,116 @@ class TestDeterminant:
         rows = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 2, 1],
                 [0, 0, 1, 0, 0], [0, 0, 0, 1, 1]]
         assert determinant(ZZ, rows) == helpers.naive_cofactor_det(ZZ, rows)
+
+
+def eliminated_determinant(d, rows):
+    """The determinant through ``_fraction_free_eliminate`` over ``d``."""
+    m = [list(row) for row in rows]
+    sign = basis_mod._fraction_free_eliminate(d, m, len(m))
+    if not sign:
+        return d.zero
+    det = m[-1][-1] if m else d.one
+    return det if sign > 0 else d.neg(det)
+
+
+# 10^5000 has more digits than the default int/str limit allows to print.
+HUGE = 10 ** 5000
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square ZZ[x] matrices, n = 0-8, degree 0-6, with zero entries,
+    constant matrices, zero rows, repeated rows, coefficients up to 2^200
+    and, when n <= 3, past 10^5000."""
+    n = draw(st.integers(0, 8))
+    degree = draw(st.integers(0, 6))
+    big = st.integers(-2 ** 200, 2 ** 200)
+    if n <= 3 and draw(st.booleans()):
+        big = st.one_of(big, st.integers(-9, 9).map(lambda c: c - HUGE if c < 0 else c + HUGE))
+    coeff = st.one_of(st.integers(-9, 9), big)
+    entry = st.lists(coeff, max_size=degree + 1).map(IntPoly)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        target, source = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[target] = [IntPoly()] * n if draw(st.booleans()) else list(rows[source])
+    return rows
+
+
+def monomial(c, e):
+    return IntPoly([0] * e + [c])
+
+
+class TestPackedDeterminant:
+    @settings(max_examples=100, deadline=None)
+    @given(poly_matrices())
+    def test_matches_elimination_over_polynomials(self, rows):
+        packed = basis_mod._packed_determinant(rows)
+        assert packed is not None
+        assert packed == eliminated_determinant(ZZX, rows)
+        assert determinant(ZZX, rows) == packed
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_coefficient_at_the_bound_and_a_byte_boundary(self, m, sign, offset):
+        c = sign * (2 ** (8 * m - 1) + offset)
+        assert basis_mod._packed_determinant([[ZZX.coerce(c)]]) == ZZX.coerce(c)
+
+    @pytest.mark.parametrize("factors", [(127,), (7, 31, 151), (47, 178481),
+                                         (2 ** 31 - 1,), (2 ** 10, 2 ** 5), (2, 2 ** 22)])
+    def test_diagonal_monomials(self, factors):
+        # The determinant's only coefficient is the bound B itself,
+        # 2^(8m-1) - 1 or 2^(8m-1).
+        for signs in itertools.product((1, -1), repeat=len(factors)):
+            cs = [s * c for s, c in zip(signs, factors)]
+            n = len(cs)
+            rows = [[monomial(cs[r], r + 1) if r == c else IntPoly() for c in range(n)]
+                    for r in range(n)]
+            want = monomial(math.prod(cs), n * (n + 1) // 2)
+            assert basis_mod._packed_determinant(rows) == want
+
+    def test_cap_on_the_packed_size(self):
+        # A monomial packs one byte per coefficient slot: 2^17 slots fill
+        # the 2^20-bit cap, one more passes it.
+        assert basis_mod._packed_determinant([[monomial(1, 2 ** 17 - 1)]]) == \
+            monomial(1, 2 ** 17 - 1)
+        assert basis_mod._packed_determinant([[monomial(1, 2 ** 17)]]) is None
+
+    @staticmethod
+    def record_domains(monkeypatch):
+        seen = []
+        eliminate = basis_mod._fraction_free_eliminate
+
+        def record(d, m, width):
+            seen.append(d.name)
+            return eliminate(d, m, width)
+
+        monkeypatch.setattr(basis_mod, "_fraction_free_eliminate", record)
+        return seen
+
+    def test_sparse_high_degree_labels_keep_polynomial_elimination(self, monkeypatch):
+        # Packed, det = L^2 would take 20001 digits of over 4 KB each, and
+        # its integer elimination tens of seconds.
+        seen = self.record_domains(monkeypatch)
+        label = "x^10000 - " + "7" * 5000
+        g = helpers.make_graph("intpoly", ["v1", "v2", "v3"],
+                               [("v1", "v2", label), ("v2", "v3", label)])
+        start = time.perf_counter()
+        v = check_basis(g, helpers.block_splines(g))
+        assert time.perf_counter() - start < 5
+        assert seen == ["intpoly"]
+        lab = ZZX.parse(label)
+        assert v.is_basis and v.determinant == -(lab * lab)
+
+    def test_dense_labels_eliminate_integers(self, monkeypatch):
+        seen = self.record_domains(monkeypatch)
+        rng = random.Random(8)
+        g = helpers.random_poly_complete_graph(rng, 8)
+        cols = helpers.combine_columns(helpers.block_splines(g),
+                                       helpers.random_unimodular(rng, 8), ZZX.zero)
+        v = check_basis(g, cols)
+        assert seen == ["int"]
+        assert v.determinant == eliminated_determinant(ZZX, spline_matrix(g, cols))
 
 
 class TestDeterminantQuotient:

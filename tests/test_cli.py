@@ -805,6 +805,33 @@ def command_outputs(g, tmp_path):
     return "".join(text)
 
 
+def basis_outputs(g, tmp_path):
+    """stdout and stderr, in both formats, of ``check-basis`` on the block
+    splines of ``g``, on a unimodular recombination of them, on that
+    recombination with its last column replaced by its first (determinant
+    zero) and with its first column times 2x (a non-unit quotient)."""
+    path = golden_graph_path(g, tmp_path)
+    d = g.domain
+    blocks = helpers.block_splines(g)
+    mixed = helpers.combine_columns(blocks, helpers.random_unimodular(random.Random(g.n), g.n),
+                                    d.zero)
+    two_x = d.parse("2*x")
+    candidates = {
+        "blocks": blocks,
+        "recombined": mixed,
+        "singular": mixed[:-1] + mixed[:1],
+        "scaled": [[two_x * v for v in mixed[0]]] + mixed[1:],
+    }
+    text = []
+    for name, splines in candidates.items():
+        argv = ["check-basis", "--graph", path]
+        for k, f in enumerate(splines):
+            argv += ["--spline", spline_path(tmp_path, f"{name}{k}.json", map(d.format, f))]
+        for fmt in ("json", "text"):
+            capture(text, f"check-basis {name} {fmt}", argv + ["--format", fmt])
+    return "".join(text)
+
+
 class TestGoldenSelections:
     # sha256 of ``selection_outputs``, recorded before the selection path
     # was merged into one per-vertex context; the output is byte-identical.
@@ -841,6 +868,21 @@ class TestGoldenCommands:
     def test_other_commands_both_formats(self, tmp_path, name):
         text = command_outputs(golden_graphs()[name], tmp_path)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]
+
+    # sha256 of ``basis_outputs`` on the ZZ[x] graphs, recorded while
+    # every ZZ[x] determinant still ran Bareiss over ZZ[x].
+    BASIS_DIGESTS = {
+        "poly-cycle": "10c5501240bd1abae6aee3cca93fdcd862c8c753de87e9dedb0566d486e1145f",
+        "poly-k4": "dd395cc115acafbb30e4c32dc41b364e89bbbae6f45f734d708b17070b91f7b6",
+        "poly-k6": "145775279519dbbbde599b1baa826951be45499bae0227c2c452d97e59830eb7",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASIS_DIGESTS))
+    def test_check_basis_over_polynomials(self, tmp_path, name):
+        g = {**golden_graphs(), "poly-k6": helpers.random_poly_complete_graph(
+            random.Random(6), 6)}[name]
+        text = basis_outputs(g, tmp_path)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BASIS_DIGESTS[name]
 
     # sha256 of stdout of ``selections --format json`` at v2 of K7 with
     # distinct prime labels, recorded before the JSON renderer replaced
