@@ -5,9 +5,14 @@ Two domains are provided.  ``ZZ`` operates on plain Python integers.
 integer coefficients stored as a low-to-high coefficient tuple with no
 trailing zeros (so the degree is one less than the tuple length).
 
-Polynomial gcds are computed by splitting off the integer content and
-running a primitive polynomial remainder sequence on the primitive parts,
-which keeps every intermediate value in integer arithmetic.
+The polynomial kernels work on plain coefficient lists.  gcds split off
+the integer content and run a primitive remainder sequence on the
+primitive parts, in integer arithmetic throughout; a remainder step
+scales by the divisor's leading coefficient only when an exact integer
+quotient cannot cancel the top coefficient.  Exact division checks the
+leading coefficients and the values at 0 and 1 before the long division,
+and lcm is ``a·(b / gcd)``.  ``ZZX.parse`` lets whitespace separate
+tokens but never split a number, so ``"1 0"`` is rejected, not read as 10.
 
 gcd and lcm results are canonical associates so repeated runs print
 byte-identical output: nonnegative for integers, positive leading
@@ -125,7 +130,11 @@ class IntPoly:
         return IntPoly(out)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            out[k] -= c
+        return IntPoly(out)
 
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
@@ -148,55 +157,72 @@ class IntPoly:
         return f"IntPoly({ZZX.format(self)!r})"
 
 
-def _poly_primitive_canonical(p: IntPoly) -> IntPoly:
-    """Divide out the content and force a positive leading coefficient."""
-    if p.is_zero:
-        return p
-    c = math.gcd(*p.coeffs)
-    if p.leading < 0:
+def _primitive(cs):
+    """Coefficients of a nonzero polynomial with the content divided out
+    and the leading coefficient made positive."""
+    c = math.gcd(*cs)
+    if cs[-1] < 0:
         c = -c
-    return IntPoly(tuple(v // c for v in p.coeffs))
+    return cs if c == 1 else [v // c for v in cs]
 
 
-def _poly_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo remainder of a by b; defined for any nonzero b up to content."""
-    lb = b.leading
-    db = b.degree
-    rem = list(a.coeffs)
-    while len(rem) - 1 >= db:
-        top = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [lb * v for v in rem]
-        for j, bc in enumerate(b.coeffs):
-            rem[shift + j] -= top * bc
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return IntPoly(rem)
+def _scaled_rem(f, g):
+    """``A·(f mod g)`` for some nonzero integer ``A``; g has degree >= 1.
+
+    Each step subtracts ``(top // lc)·x^s·g`` when ``lc`` divides the top
+    coefficient, and scales by ``lc`` first only when it does not, so
+    coefficients grow only where a pseudo-remainder cannot avoid it.
+    """
+    r = list(f)
+    lc = g[-1]
+    dg = len(g) - 1
+    while len(r) > dg:
+        top = r[-1]
+        q, m = divmod(top, lc)
+        if m:
+            r = [lc * v for v in r]
+            q = top
+        j = len(r) - 1 - dg
+        for v in g:
+            r[j] -= q * v
+            j += 1
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
-def _poly_exact_div(a: IntPoly, b: IntPoly):
-    """Quotient q with a == q*b, or None when b does not divide a in Z[x]."""
-    if a.is_zero:
-        return IntPoly()
-    if a.degree < b.degree:
+def _quotient(a, b):
+    """Coefficients of q with a == q*b, or None when b does not divide a.
+
+    b is nonzero.  A quotient forces ``lc(b) | lc(a)``, ``b(0) | a(0)`` and
+    ``b(1) | a(1)``, so those are checked before any long division: on
+    products of linear factors they settle most pairs that do not divide.
+    """
+    if not a:
+        return []
+    db = len(b) - 1
+    n = len(a) - 1 - db
+    lb = b[-1]
+    if n < 0 or a[-1] % lb:
         return None
-    rem = list(a.coeffs)
-    lb = b.leading
-    db = b.degree
-    q = [0] * (a.degree - db + 1)
-    for k in range(a.degree - db, -1, -1):
-        c = rem[k + db]
-        if c == 0:
-            continue
-        if c % lb:
+    for vb, va in ((b[0], a[0]), (sum(b), sum(a))):
+        if va % vb if vb else va:
             return None
-        f = c // lb
-        q[k] = f
-        for j, bc in enumerate(b.coeffs):
-            rem[k + j] -= f * bc
-    if any(rem):
+    r = list(a)
+    q = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            j = k
+            for v in b:
+                r[j] -= c * v
+                j += 1
+    if any(r[:db]):
         return None
-    return IntPoly(q)
+    return q
 
 
 class Domain:
@@ -296,7 +322,12 @@ class IntPolyDomain(Domain):
     zero = IntPoly()
     one = IntPoly((1,))
 
-    _TERM = re.compile(r"(?:([0-9]+)\*?)?x(?:\^([0-9]+))?$|([0-9]+)$")
+    # One signed term: ``c*x^e`` with ``c``, ``*`` and ``^e`` optional, or
+    # a bare integer.  Whitespace may sit between tokens.  No two ``\s*``
+    # meet without a token between them, so a failed match backtracks
+    # through a run of whitespace in linear, not quadratic, time.
+    _TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(?:([0-9]+)\s*(?:\*\s*)?)?x"
+                       r"(?:\s*\^\s*([0-9]+))?|([0-9]+))\s*")
 
     def coerce(self, a):
         if isinstance(a, IntPoly):
@@ -306,34 +337,31 @@ class IntPolyDomain(Domain):
         raise TypeError(f"expected an integer polynomial, got {type(a).__name__}")
 
     def parse(self, text: str) -> IntPoly:
-        s = re.sub(r"\s+", "", text)
-        if not s:
+        if not text.strip():
             raise RingParseError("empty polynomial")
-        if s[0] not in "+-":
-            s = "+" + s
-        tokens = re.findall(r"[+-][^+-]+", s)
-        if "".join(tokens) != s:
-            raise RingParseError(f"not a polynomial in x: {text!r}")
         coeffs: dict[int, int] = {}
-        for tok in tokens:
-            sign = 1 if tok[0] == "+" else -1
-            m = self._TERM.fullmatch(tok[1:])
-            if m is None:
-                raise RingParseError(f"bad term {tok[1:]!r} in {text!r}")
-            if m.group(3) is not None:
-                exp, coeff = 0, _decimal(m.group(3))
+        pos = 0
+        while pos < len(text):
+            m = self._TERM.match(text, pos)
+            # Every term after the first needs its sign.
+            if m is None or (pos and not m.group(1)):
+                raise RingParseError(f"not a polynomial in x: {text!r}")
+            sign, coeff, exp, const = m.groups()
+            if const is not None:
+                e, c = 0, _decimal(const)
             else:
-                coeff = _decimal(m.group(1)) if m.group(1) else 1
-                exp = _decimal(m.group(2)) if m.group(2) else 1
-                if exp > MAX_DEGREE:
+                c = _decimal(coeff) if coeff else 1
+                e = _decimal(exp) if exp else 1
+                if e > MAX_DEGREE:
                     raise RingParseError(
-                        f"exponent {m.group(2)} in {text!r} exceeds the degree "
+                        f"exponent {exp} in {text!r} exceeds the degree "
                         f"cap {MAX_DEGREE}"
                     )
-            coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
+            coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+            pos = m.end()
         out = [0] * (max(coeffs) + 1)
-        for exp, c in coeffs.items():
-            out[exp] = c
+        for e, c in coeffs.items():
+            out[e] = c
         return IntPoly(out)
 
     def format(self, a: IntPoly) -> str:
@@ -369,39 +397,43 @@ class IntPolyDomain(Domain):
         return a.degree == 0 and a.coeffs[0] in (1, -1)
 
     def gcd(self, a: IntPoly, b: IntPoly) -> IntPoly:
-        if a.is_zero:
+        ac, bc = a.coeffs, b.coeffs
+        if not ac:
             return self.canonical(b)
-        if b.is_zero:
+        if not bc:
             return self.canonical(a)
-        c = math.gcd(*a.coeffs, *b.coeffs)
-        f = _poly_primitive_canonical(a)
-        g = _poly_primitive_canonical(b)
-        if f.degree < g.degree:
+        c = math.gcd(*ac, *bc)
+        f, g = _primitive(ac), _primitive(bc)
+        if len(f) < len(g):
             f, g = g, f
-        while not g.is_zero:
-            r = _poly_pseudo_rem(f, g)
-            f, g = g, _poly_primitive_canonical(r)
-        return c * f
+        # Primitive remainder sequence: g stays primitive with a positive
+        # leading coefficient, and a constant remainder ends it at c.
+        while len(g) > 1:
+            r = _scaled_rem(f, g)
+            if not r:
+                return IntPoly([c * v for v in g])
+            f, g = g, _primitive(r)
+        return IntPoly((c,))
 
     def lcm(self, a: IntPoly, b: IntPoly) -> IntPoly:
         if a.is_zero or b.is_zero:
             return IntPoly()
-        return self.canonical(self.exact_div(a * b, self.gcd(a, b)))
+        return self.canonical(a * self.exact_div(b, self.gcd(a, b)))
 
     def divides(self, b: IntPoly, a: IntPoly) -> bool:
         if b.is_zero:
             return a.is_zero
-        return _poly_exact_div(a, b) is not None
+        return _quotient(a.coeffs, b.coeffs) is not None
 
     def exact_div(self, a: IntPoly, b: IntPoly) -> IntPoly:
         if b.is_zero:
             raise ExactDivisionError("division by zero")
-        q = _poly_exact_div(a, b)
+        q = _quotient(a.coeffs, b.coeffs)
         if q is None:
             raise ExactDivisionError(
                 f"{self.format(b)} does not divide {self.format(a)}"
             )
-        return q
+        return IntPoly(q)
 
 
 ZZ = IntegerDomain()

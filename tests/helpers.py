@@ -8,7 +8,9 @@ factors of every edge of every long zero trail, minimal selections by a
 hitting-set search over the long trails' label sets, trail counts by dynamic
 programming over used-edge sets, and the flow-up basis and span
 coordinates through a Hermite form over the integers that tracks its
-unimodular transform.  ``permute_vertices`` reorders a graph for the
+unimodular transform.  ``ZZ[x]`` gcd, lcm and exact division go through
+a pseudo-remainder sequence that scales at every step and a long division
+on ``IntPoly`` values.  ``permute_vertices`` reorders a graph for the
 invariance tests.
 """
 
@@ -211,6 +213,82 @@ def naive_cofactor_det(domain, rows):
         term = domain.mul(a, naive_cofactor_det(domain, minor))
         total = total + term if c % 2 == 0 else total - term
     return total
+
+
+def poly_primitive_canonical(p: IntPoly) -> IntPoly:
+    """Divide out the content and force a positive leading coefficient."""
+    if p.is_zero:
+        return p
+    c = math.gcd(*p.coeffs)
+    if p.leading < 0:
+        c = -c
+    return IntPoly(tuple(v // c for v in p.coeffs))
+
+
+def poly_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Pseudo remainder of a by b: scale by lc(b) before every step."""
+    lb = b.leading
+    db = b.degree
+    rem = list(a.coeffs)
+    while len(rem) - 1 >= db:
+        top = rem[-1]
+        shift = len(rem) - 1 - db
+        rem = [lb * v for v in rem]
+        for j, bc in enumerate(b.coeffs):
+            rem[shift + j] -= top * bc
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return IntPoly(rem)
+
+
+def prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Reference for ``ZZX.gcd``: gcd of the contents times the last
+    nonzero term of the primitive pseudo-remainder sequence."""
+    if a.is_zero:
+        return ZZX.canonical(b)
+    if b.is_zero:
+        return ZZX.canonical(a)
+    c = math.gcd(*a.coeffs, *b.coeffs)
+    f = poly_primitive_canonical(a)
+    g = poly_primitive_canonical(b)
+    if f.degree < g.degree:
+        f, g = g, f
+    while not g.is_zero:
+        f, g = g, poly_primitive_canonical(poly_pseudo_rem(f, g))
+    return c * f
+
+
+def poly_exact_div(a: IntPoly, b: IntPoly) -> Optional[IntPoly]:
+    """Reference for ``ZZX.exact_div``: long division over the integers,
+    or None when nonzero b does not divide a."""
+    if a.is_zero:
+        return IntPoly()
+    if a.degree < b.degree:
+        return None
+    rem = list(a.coeffs)
+    lb = b.leading
+    db = b.degree
+    q = [0] * (a.degree - db + 1)
+    for k in range(a.degree - db, -1, -1):
+        c = rem[k + db]
+        if c == 0:
+            continue
+        if c % lb:
+            return None
+        f = c // lb
+        q[k] = f
+        for j, bc in enumerate(b.coeffs):
+            rem[k + j] -= f * bc
+    if any(rem):
+        return None
+    return IntPoly(q)
+
+
+def prs_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Reference for ``ZZX.lcm``: ``(a·b) / gcd`` through the oracles."""
+    if a.is_zero or b.is_zero:
+        return IntPoly()
+    return ZZX.canonical(poly_exact_div(a * b, prs_gcd(a, b)))
 
 
 def enumerate_trails(g: LabeledGraph, start: int, end: int,

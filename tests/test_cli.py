@@ -4,9 +4,11 @@ import itertools
 import json
 import hashlib
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -467,6 +469,10 @@ class TestMalformedDocuments:
         pytest.param(lambda d: d.update(domain="intpoly", edges=[
                          {"u": "v1", "v": "v2", "label": f"x^{MAX_DEGREE + 1}"}]),
                      f"exponent {MAX_DEGREE + 1} ", id="degree-cap"),
+        # Whitespace never joins digits: "1 0" is not 10.
+        pytest.param(lambda d: d.update(domain="intpoly", edges=[
+                         {"u": "v1", "v": "v2", "label": "x + 1 0"}]),
+                     "not a polynomial in x: 'x + 1 0'", id="split-number"),
     ])
     def test_exits_2_without_traceback(self, capsys, tmp_path, change, message):
         doc = json.loads(json.dumps(DIAMOND_DOC))
@@ -609,10 +615,13 @@ class TestDriver:
         assert code == 0 and out.endswith("q_g = 2160\n")
 
     def test_module_entry_point(self, diamond_path):
+        # The child imports the package the suite imported, installed or not.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "graphsplines", "invariants",
              "--graph", diamond_path, "--format", "json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["q_g"] == "2160"

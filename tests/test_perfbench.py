@@ -61,31 +61,44 @@ def test_tracer_wraps_the_package_and_restores_it(tmp_path, capsys):
         path = tmp_path / f"f{k}.json"
         path.write_text(json.dumps({"values": [str(v) for v in values]}))
         splines += ["--spline", str(path)]
-    runs = [(["invariants"], 0), (["selections", "--vertex", "2"], 0),
-            (["flowup"], 0), (["check-basis", *splines], 1)]
+    # One ZZ[x] run, so the tracer wraps and restores the kernels of both
+    # domains while they are in use.
+    poly_graph = tmp_path / "pg.json"
+    poly_graph.write_text(json.dumps(helpers.graph_doc("intpoly", ["v1", "v2", "v3"], [
+        ("v1", "v2", "x^2 - 1"), ("v2", "v3", "2*x + 2"), ("v1", "v3", "x^2 + x"),
+    ])))
+    runs = [(["invariants"], graph, 0), (["selections", "--vertex", "2"], graph, 0),
+            (["flowup"], graph, 0), (["check-basis", *splines], graph, 1),
+            (["invariants"], poly_graph, 0)]
 
     modules = {name: mod for name, mod in sys.modules.items()
                if name == "graphsplines" or name.startswith("graphsplines.")}
     before = {name: dict(vars(mod)) for name, mod in modules.items()}
     domains = [graphsplines.ZZ, graphsplines.ZZX]
+    # The tracer wraps ring methods by instance attributes and deletes them
+    # afterwards, so each must be a method of the class.
+    for d in domains:
+        for meth in tracing.RING_METHODS:
+            assert meth not in vars(d) and callable(getattr(type(d), meth)), meth
     domain_attrs = [dict(vars(d)) for d in domains]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        codes = [graphsplines.cli.main([*argv, "--graph", str(graph)])
-                 for argv, _ in runs]
+        codes = [graphsplines.cli.main([*argv, "--graph", str(path)])
+                 for argv, path, _ in runs]
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
     capsys.readouterr()
 
-    assert codes == [code for _, code in runs]
+    assert codes == [code for _, _, code in runs]
     assert metrics["splines.minimal_selections.calls"] == 1
     assert metrics["splines.minimal_selections.out"] == 4
     assert metrics["basis.flowup_basis.calls"] == 1
     assert metrics["basis.determinant.calls"] == 1
     assert metrics["graphs.zero_trails.calls"] >= 1
     assert metrics["splines.leading_value.calls"] >= 4
+    assert metrics["rings.ZZX.gcd.calls"] >= 1
     assert tracer.stats["cli.main"][0] == len(runs)
     for name, mod in modules.items():
         assert all(vars(mod)[attr] is value

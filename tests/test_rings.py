@@ -1,9 +1,11 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from graphsplines.rings import (
     MAX_DEGREE,
     ExactDivisionError,
@@ -17,6 +19,20 @@ ints = st.integers(min_value=-10**6, max_value=10**6)
 nonzero_ints = ints.filter(lambda a: a != 0)
 polys = st.lists(st.integers(min_value=-40, max_value=40), max_size=5).map(IntPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+# Coefficients from a few bits to past 2^64, so multi-word integers meet
+# the kernels too.
+wide_polys = st.lists(st.integers(min_value=-40, max_value=40)
+                      | st.integers(min_value=-2**80, max_value=2**80),
+                      max_size=6).map(IntPoly)
+wide_nonzero_polys = wide_polys.filter(lambda p: not p.is_zero)
+# Non-monic and negative leading coefficients, and factors x and x - 1,
+# which make b(0) = 0 or b(1) = 0.
+special_factors = st.sampled_from([
+    IntPoly((0, 1)), IntPoly((-1, 1)), IntPoly((1, -1)), IntPoly((0, -3)),
+    IntPoly((3, 0, -2)), IntPoly((-7, 5)), IntPoly((0, 0, 4)),
+])
+divisors = (wide_nonzero_polys | special_factors
+            | st.tuples(wide_nonzero_polys, special_factors).map(lambda t: t[0] * t[1]))
 
 
 class TestIntegerOps:
@@ -59,6 +75,8 @@ class TestIntegerOps:
             ZZ.parse("1_0")
         with pytest.raises(RingParseError):
             ZZ.parse("x")
+        with pytest.raises(RingParseError):
+            ZZ.parse("1 0")
 
 
 class TestPolynomialOps:
@@ -105,8 +123,16 @@ class TestPolynomialOps:
         assert ZZX.parse("-x") == IntPoly((0, -1))
         assert ZZX.parse("0") == ZZX.zero
         assert ZZX.parse("x + x") == IntPoly((0, 2))
+        # Whitespace may separate any two tokens.
+        assert ZZX.parse("3 x") == IntPoly((0, 3))
+        assert ZZX.parse("x ^ 2") == IntPoly((0, 0, 1))
+        assert ZZX.parse(" - x^4 + 2 ") == IntPoly((2, 0, 0, 0, -1))
+        assert ZZX.parse("- 12 * x ^ 3\t+ 5") == IntPoly((5, 0, 0, -12))
 
-    @pytest.mark.parametrize("bad", ["", "y+1", "x^-1", "x^", "3**x", "x*x", "+-3"])
+    # Whitespace never splits a number: "1 0" is not 10, nor "x ^ 1 0" x^10.
+    @pytest.mark.parametrize("bad", ["", " ", "y+1", "x^-1", "x^", "3**x", "x*x",
+                                     "+-3", "3*", "x 2", "1 0", "x ^ 1 0",
+                                     "x + 1 0", "1 0*x"])
     def test_parse_rejects(self, bad):
         with pytest.raises(RingParseError):
             ZZX.parse(bad)
@@ -164,6 +190,68 @@ class TestPolynomialProperties:
     @given(p=nonzero_polys, q=nonzero_polys, g=nonzero_polys)
     def test_common_factor_detected(self, p, q, g):
         assert ZZX.divides(ZZX.canonical(g), ZZX.gcd(p * g, q * g))
+
+
+class TestPolynomialKernelsAgainstOracles:
+    """The coefficient-list kernels against the pseudo-remainder sequence
+    and long division of ``helpers``."""
+
+    @settings(deadline=None)
+    @given(a=wide_polys, b=wide_polys, g=divisors)
+    def test_gcd_and_lcm(self, a, b, g):
+        for x, y in ((a, b), (a * g, b * g), (a * g, g)):
+            assert ZZX.gcd(x, y) == helpers.prs_gcd(x, y)
+            assert ZZX.lcm(x, y) == helpers.prs_lcm(x, y)
+
+    @settings(deadline=None)
+    @given(q=wide_polys, b=divisors, r=wide_polys)
+    def test_divides_and_exact_div(self, q, b, r):
+        for a in (q * b, q * b + r, q * b - b + r * b):
+            expected = helpers.poly_exact_div(a, b)
+            assert ZZX.divides(b, a) == (expected is not None)
+            if expected is None:
+                with pytest.raises(ExactDivisionError):
+                    ZZX.exact_div(a, b)
+            else:
+                assert ZZX.exact_div(a, b) == expected
+
+    # Each quick necessary condition of exact division (lc(b) | lc(a),
+    # b(0) | a(0), b(1) | a(1)) once failing and once passing.
+    @pytest.mark.parametrize("a, b, divides", [
+        pytest.param("3*x^2 + 3*x", "2*x + 2", False, id="lc-fails"),
+        pytest.param("4*x^2 + 4*x", "2*x + 2", True, id="lc-passes"),
+        pytest.param("x^2 + 1", "x", False, id="b0-zero-fails"),
+        pytest.param("x^2 + x", "x", True, id="b0-zero-passes"),
+        pytest.param("x^2 + 1", "x + 2", False, id="b0-fails"),
+        pytest.param("x^2 + 3*x + 2", "x + 2", True, id="b0-passes"),
+        pytest.param("x^2 + 1", "x - 1", False, id="b1-zero-fails"),
+        pytest.param("x^2 - 1", "x - 1", True, id="b1-zero-passes"),
+        pytest.param("x^2 + 3*x + 4", "x + 2", False, id="b1-fails"),
+        pytest.param("x^3 + x + 2", "x^2 + 1", False, id="long-division-fails"),
+        pytest.param("-6*x^3 + 4*x^2 - 3*x + 2", "-3*x + 2", True,
+                     id="negative-leading"),
+    ])
+    def test_quick_rejects(self, a, b, divides):
+        a, b = ZZX.parse(a), ZZX.parse(b)
+        assert ZZX.divides(b, a) == divides
+        assert (helpers.poly_exact_div(a, b) is not None) == divides
+        if divides:
+            assert ZZX.exact_div(a, b) * b == a
+
+    def test_past_the_int_str_limit(self):
+        big = 10 ** 5000 + 7
+        f = ZZX.coerce(big) * ZZX.parse("x") + ZZX.coerce(3 * big + 1)
+        a, b = f * ZZX.parse("x - 3"), f * ZZX.parse("-2*x^2 + 1")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert ZZX.gcd(a, b) == helpers.prs_gcd(a, b) == f
+            assert ZZX.lcm(a, b) == helpers.prs_lcm(a, b)
+            assert ZZX.exact_div(b, f) == helpers.poly_exact_div(b, f)
+            assert not ZZX.divides(a, b)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestIntPolyHash:
@@ -230,6 +318,19 @@ class TestParseLimits:
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(saved)
+
+    def test_whitespace_runs_cost_linear_time(self):
+        # A failed term match backtracks through the whitespace before it.
+        # A term pattern with two optional-whitespace runs side by side does
+        # that in quadratic time: about 20 s for the first text here.
+        gap = " " * 20_000
+        start = time.perf_counter()
+        for text in (gap + "y", "3" + gap + "y", "+" + gap + "y",
+                     "x" + gap + "^" + gap + "y", "3" + gap + "*" + gap + "y"):
+            with pytest.raises(RingParseError):
+                ZZX.parse(text)
+        assert ZZX.parse("3" + gap + "*" + gap + "x" + gap) == IntPoly((0, 3))
+        assert time.perf_counter() - start < 2
 
     def test_degree_cap(self):
         assert ZZX.parse(f"x^{MAX_DEGREE} + 1").degree == MAX_DEGREE
