@@ -36,6 +36,7 @@ from .splines import (
     is_spline,
     leading_value,
     leading_values,
+    minimal_selection,
     minimal_selections,
     selection_from_labels,
     selection_spline,
@@ -83,6 +84,7 @@ __all__ = [
     "leading_value",
     "leading_values",
     "load_graph",
+    "minimal_selection",
     "minimal_selections",
     "selection_from_labels",
     "selection_spline",

@@ -147,7 +147,7 @@ def determinant(d: Domain, rows: list[list]):
     fraction-free elimination; the empty matrix has determinant one.
     Over ZZX the elimination runs on packed integers when they are small
     enough (``_packed_determinant``)."""
-    m = [list(row) for row in rows]
+    m = [[d.coerce(v) for v in row] for row in rows]
     if any(len(row) != len(m) for row in m):
         raise ValueError("determinant needs a square matrix")
     if d is ZZX and (det := _packed_determinant(m)) is not None:
@@ -283,11 +283,12 @@ def span_coordinates(g: LabeledGraph, basis: Sequence[Sequence[int]],
     if g.domain is not ZZ:
         raise ValueError("span coordinates are computed over the integers only")
     rows = [list(map(g.domain.coerce, b)) for b in basis]
+    f = list(map(g.domain.coerce, f))
     if len(f) != g.n or any(len(b) != g.n for b in rows):
         raise ValueError("vector lengths must match the vertex count")
     k = len(rows)
     if k <= g.n and all(row[j] and not any(row[:j]) for j, row in enumerate(rows)):
-        rest = list(f)
+        rest = f
         y = []
         for j, row in enumerate(rows):
             q, r = divmod(rest[j], row[j])

@@ -1,10 +1,10 @@
 """Command line driver.
 
-Subcommands operate on graph documents and spline documents (JSON, see
-the module docstrings of ``graphs`` and the README).  Exit codes: 0 for
-success or an affirmative verdict, 1 for a negative verdict, 2 for any
-input or usage problem.  Output is deterministic for identical inputs.
-``--format json`` output is byte for byte ``json.dumps(doc, indent=2)``.
+Subcommands read graph and spline documents (JSON; see ``graphs`` and
+the README).  Exit codes: 0 for success or an affirmative verdict, 1 for
+a negative verdict, 2 for any input or usage problem.  Output is
+deterministic for identical inputs.  ``--format json`` output is byte for
+byte ``json.dumps(doc, indent=2)``, written in batches of pieces.
 """
 
 from __future__ import annotations
@@ -51,21 +51,22 @@ def _load_spline(path: str, g: graphs.LabeledGraph) -> list:
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
+_WRITE_BATCH = 8192  # pieces that ``_emit_json`` joins into one write
 
 
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, for a document of
-    dicts with str keys, lists, str, int, bool and None; any other value
-    raises TypeError.
+def _dumps(doc) -> list[str]:
+    """The pieces of ``json.dumps(doc, indent=2)``, byte for byte once
+    joined, for a document of dicts with str keys, lists, str, int, bool
+    and None; any other value raises TypeError.
 
-    One pass over the document into one list of pieces, joined once; the
-    standard library's encoder runs in pure Python whenever ``indent`` is
-    set (before Python 3.13).  The commands share edge, path and choice
-    objects between the places they appear, so the text of a small
-    container is kept by identity and depth and reused.  The identities
-    are stable because ``doc`` holds every node until the text is built.
-    Large texts are not kept, so what is kept is at most about the size
-    of the output.
+    One pass over the document into one list of pieces, never joined
+    whole; the standard library's encoder runs in pure Python whenever
+    ``indent`` is set (before Python 3.13).  The commands share edge,
+    path and choice objects between the places they appear, so the text
+    of a small container is kept by identity and depth and reused.  The
+    identities are stable because ``doc`` holds every node until the
+    pieces are built.  Large texts are not kept, so what is kept is at
+    most about the size of the output.
     """
     texts = {}
     out = []
@@ -115,11 +116,14 @@ def _dumps(doc) -> str:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     emit(doc, "\n")
-    return "".join(out)
+    return out
 
 
 def _emit_json(obj) -> None:
-    print(_dumps(obj))
+    pieces = _dumps(obj)
+    for k in range(0, len(pieces), _WRITE_BATCH):
+        sys.stdout.write("".join(pieces[k:k + _WRITE_BATCH]))
+    sys.stdout.write("\n")
 
 
 def _vertex_index(g: graphs.LabeledGraph, vertex: int, what: str, after: int) -> int:
@@ -283,14 +287,7 @@ def _cmd_construct(args) -> int:
         print(f"note: completed the graph with {k.m - g.m} unit-labeled edges; "
               "selection ids refer to the completion", file=sys.stderr)
     i = _vertex_index(k, args.vertex, "selections", 1)
-    at = splines._VertexSelections(k, i, args.max_trails)
-    keysets = at.minimal_keysets()
-    if not 0 <= args.selection < len(keysets):
-        raise ValueError(
-            f"selection id {args.selection} out of range; "
-            f"{len(keysets)} minimal selections exist"
-        )
-    sel = at.select(keysets[args.selection])
+    sel = splines.minimal_selection(k, i, args.selection, args.max_trails)
     values = splines.selection_spline(k, sel)
     d = k.domain
     labels = ", ".join(d.format(lab) for lab in sel.labels)

@@ -13,12 +13,12 @@ greater than one.  Each pick contributes the quotient of its label by the
 trail gcd; the product of those quotients times the leading value is the
 nonzero value used by the spline constructions at the end of the module.
 Minimal selections are the minimal label cuts between i and the earlier
-vertices.  ``minimal_selections`` and ``selection_from_labels`` share one
-path: a per-vertex context lists the long trails, the leading value and a
-key per label once, and turns each label set into a ``Selection``, where
-every trail takes its lowest-indexed selected edge.  Only a label that no
-trail took sends the choice to an augmenting-path repair, which minimal
-label sets never need.
+vertices.  ``minimal_selections``, ``minimal_selection`` and
+``selection_from_labels`` share one path: a per-vertex context lists the
+long trails, the leading value and a key per label once, and turns each
+label set into a ``Selection``, where every trail takes its lowest-indexed
+selected edge.  Only a label that no trail took sends the choice to an
+augmenting-path repair, which minimal label sets never need.
 """
 
 from __future__ import annotations
@@ -313,6 +313,18 @@ def minimal_selections(g: LabeledGraph, i: int,
     """
     at = _VertexSelections(g, i, max_trails)
     return [at.select(s) for s in at.minimal_keysets()]
+
+
+def minimal_selection(g: LabeledGraph, i: int, index: int,
+                      max_trails: int = DEFAULT_TRAIL_LIMIT) -> Selection:
+    """``minimal_selections(g, i)[index]``, realizing only that selection;
+    an ``index`` outside the list, negative included, raises ValueError."""
+    at = _VertexSelections(g, i, max_trails)
+    keysets = at.minimal_keysets()
+    if not 0 <= index < len(keysets):
+        raise ValueError(f"selection id {index} out of range; "
+                         f"{len(keysets)} minimal selections exist")
+    return at.select(keysets[index])
 
 
 def selection_from_labels(g: LabeledGraph, i: int, labels,

@@ -62,6 +62,13 @@ class TestDeterminant:
         with pytest.raises(ValueError, match="square"):
             determinant(ZZ, [[1, 2], [3, 4], [5, 6]])
 
+    def test_entries_are_coerced(self):
+        # An int over ZZ[x] is a constant; a float is no ring element.
+        assert determinant(ZZX, [[1, 0], [0, 1]]) == ZZX.one
+        assert determinant(ZZX, [[2, ZZX.parse("x")], [1, 3]]) == ZZX.parse("6 - x")
+        with pytest.raises(TypeError):
+            determinant(ZZ, [[2.0, 1], [1, 1]])
+
     def test_bareiss_matches_cofactor_polynomials(self):
         rng = random.Random(313)
         for n in (4, 5):
@@ -428,6 +435,36 @@ class TestSpanCoordinates:
             coeffs = [rng.randint(-6, 6) for _ in range(g.n)]
             f = [sum(c * b[r] for c, b in zip(coeffs, base)) for r in range(g.n)]
             assert span_coordinates(g, base, f) == coeffs
+
+
+def _triangle():
+    return helpers.make_graph("int", ["a", "b", "c"],
+                              [("a", "b", 2), ("b", "c", 3), ("a", "c", 5)])
+
+
+class TestInputChecks:
+    # Each public input check of ``basis``, reached once.
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda g: spline_matrix(g, DIAMOND_FLOWUPS[:3]), ValueError,
+         "^expected 4 splines, got 3$"),
+        (lambda g: spline_matrix(g, [[1, 1, 1]] * 4), ValueError,
+         "^spline length does not match the vertex count$"),
+        (lambda g: span_coordinates(helpers.poly_cycle(), [[1, 1, 1]], [1, 1, 1]),
+         ValueError, "^span coordinates are computed over the integers only$"),
+        (lambda g: span_coordinates(g, DIAMOND_FLOWUPS, [1, 1, 1]), ValueError,
+         "^vector lengths must match the vertex count$"),
+        (lambda g: span_coordinates(g, DIAMOND_FLOWUPS[:3] + [[1, 2, 3]], [1, 1, 1, 1]),
+         ValueError, "^vector lengths must match the vertex count$"),
+        # More vectors than vertices are dependent, found by elimination.
+        (lambda g: span_coordinates(g, DIAMOND_FLOWUPS + [[1, 1, 1, 1]], [1, 1, 1, 1]),
+         ValueError, "^basis vectors are linearly dependent$"),
+        (lambda g: span_coordinates(_triangle(), flowup_basis(_triangle()), [2.0, 2.0, 2.0]),
+         TypeError, "^expected an integer, got float$"),
+    ], ids=["matrix-count", "matrix-length", "span-polynomial", "span-vector-length",
+            "span-basis-length", "span-more-vectors", "span-float-vector"])
+    def test_rejected(self, diamond, call, error, match):
+        with pytest.raises(error, match=match):
+            call(diamond)
 
 
 class TestCompletionInvariance:

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -548,7 +549,7 @@ class TestJsonRenderer:
     @settings(max_examples=200, deadline=None)
     @given(doc=JSON_DOCS)
     def test_matches_json_dumps(self, doc):
-        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+        assert "".join(cli._dumps(doc)) == json.dumps(doc, indent=2)
 
     @settings(max_examples=60, deadline=None)
     @given(shared_dict=st.dictionaries(JSON_TEXT, JSON_DOCS, min_size=1, max_size=3),
@@ -564,12 +565,31 @@ class TestJsonRenderer:
             "again": shared_dict,
             "empty": [[], {}, [[]], {"e": {}}],
         }
-        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+        assert "".join(cli._dumps(doc)) == json.dumps(doc, indent=2)
 
     def test_edge_documents(self):
         for doc in ({}, [], "", 0, True, False, None, 10 ** 40, -(10 ** 40),
                     [{}], {"": []}, {"\u00e9\"\\\x01": ["\U0001f600"]}):
-            assert cli._dumps(doc) == json.dumps(doc, indent=2)
+            assert "".join(cli._dumps(doc)) == json.dumps(doc, indent=2)
+
+    def test_emit_json_writes_batches(self, monkeypatch):
+        # More than one batch of pieces: the text goes out a batch at a
+        # time, never as one string, and the newline comes last.
+        writes = []
+
+        class Stream:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        doc = {"rows": [[k, str(k)] for k in range(cli._WRITE_BATCH)]}
+        assert len(cli._dumps(doc)) > cli._WRITE_BATCH
+        monkeypatch.setattr(sys, "stdout", Stream())
+        cli._emit_json(doc)
+        text = json.dumps(doc, indent=2)
+        assert len(writes) >= 3 and writes[-1] == "\n"
+        assert max(map(len, writes)) < len(text)
+        assert "".join(writes) == text + "\n"
 
     @pytest.mark.parametrize("doc", [1.5, [1, (2, 3)], {"a": {"b": 0.0}},
                                      {1: "int key"}, {"s": {1, 2}}, [b"bytes"]],
@@ -613,6 +633,10 @@ class TestDriver:
         assert "check-basis needs exactly 4 --spline documents" in err
         code, out, _ = run(capsys, "invariants", "--graph", diamond_path)
         assert code == 0 and out.endswith("q_g = 2160\n")
+
+    def test_uses_only_public_library_names(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        assert not re.search(r"\b(graphs|splines|basis_mod)\._", source)
 
     def test_module_entry_point(self, diamond_path):
         # The child imports the package the suite imported, installed or not.

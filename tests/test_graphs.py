@@ -158,6 +158,10 @@ class TestZeroTrails:
         with pytest.raises(ValueError):
             zero_trails(diamond, 0)
 
+    def test_vertex_past_the_last_rejected(self, diamond):
+        with pytest.raises(ValueError, match="^vertex index 4 out of range$"):
+            zero_trails(diamond, 4)
+
     def test_antichain(self, k5):
         for i in range(1, k5.n):
             sets = [frozenset(t.edges) for t in zero_trails(k5, i)]

@@ -35,6 +35,26 @@ divisors = (wide_nonzero_polys | special_factors
             | st.tuples(wide_nonzero_polys, special_factors).map(lambda t: t[0] * t[1]))
 
 
+class TestCoerce:
+    @pytest.mark.parametrize("domain, value, want", [
+        (ZZ, 7, 7), (ZZX, 7, IntPoly((7,))), (ZZX, IntPoly((1, 2)), IntPoly((1, 2))),
+    ], ids=["int", "int-as-constant", "poly"])
+    def test_accepts(self, domain, value, want):
+        assert domain.coerce(value) == want
+
+    @pytest.mark.parametrize("domain, value, match", [
+        (ZZ, 2.0, "^expected an integer, got float$"),
+        (ZZ, "3", "^expected an integer, got str$"),
+        (ZZ, IntPoly((3,)), "^expected an integer, got IntPoly$"),
+        (ZZX, 2.0, "^expected an integer polynomial, got float$"),
+        (ZZX, "x", "^expected an integer polynomial, got str$"),
+        (ZZX, None, "^expected an integer polynomial, got NoneType$"),
+    ], ids=["zz-float", "zz-str", "zz-poly", "zzx-float", "zzx-str", "zzx-none"])
+    def test_rejects_non_numbers(self, domain, value, match):
+        with pytest.raises(TypeError, match=match):
+            domain.coerce(value)
+
+
 class TestIntegerOps:
     def test_gcd_examples(self):
         assert ZZ.gcd(9, 6) == 3
@@ -136,6 +156,10 @@ class TestPolynomialOps:
     def test_parse_rejects(self, bad):
         with pytest.raises(RingParseError):
             ZZX.parse(bad)
+
+    def test_exact_div_by_zero(self):
+        with pytest.raises(ExactDivisionError, match="^division by zero$"):
+            ZZX.exact_div(ZZX.parse("x"), ZZX.zero)
 
     def test_format_round_trip(self):
         for text in ["3*x^2 - x + 7", "x", "-x^4 + 2", "0", "12"]:

@@ -23,6 +23,7 @@ from graphsplines import (
     is_spline,
     leading_value,
     leading_values,
+    minimal_selection,
     minimal_selections,
     selection_from_labels,
     selection_spline,
@@ -326,6 +327,27 @@ class TestMinimalSelections:
                 assert s.chosen == tuple(min(e for e in t.edges if e in s.h_edges)
                                          for t in s.trails)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_selection_by_position(self, data):
+        # ``minimal_selection`` realizes the selection at one position of
+        # ``minimal_selections`` and rejects every other position.
+        g = data.draw(selection_graphs())
+
+        def fields(s):
+            return (s.vertex, s.trails, s.labels, s.chosen, s.factors, s.product,
+                    s.value, s.h_edges)
+
+        for i in range(1, g.n - 1):
+            sels = minimal_selections(g, i)
+            for k, s in enumerate(sels):
+                one = minimal_selection(g, i, k)
+                assert one.graph is g and fields(one) == fields(s)
+            for bad in (-1, len(sels)):
+                with pytest.raises(ValueError, match=f"^selection id {bad} out of range; "
+                                   f"{len(sels)} minimal selections exist$"):
+                    minimal_selection(g, i, bad)
+
     def test_sparse_n30_wall(self):
         # A hitting-set search over this vertex's 62 long trails takes more
         # than a minute; the label-cut enumeration takes under a second.
@@ -603,6 +625,29 @@ class TestInducedSpline:
             assert is_spline(k4, induced_spline(f, s, a_star))
             checked += 1
         assert checked >= 2
+
+
+class TestInputChecks:
+    # Each public input check of ``splines`` that no other test reaches.
+    @pytest.mark.parametrize("call, match", [
+        (lambda k4, k5: leading_value(k4, 4), "^vertex index 4 out of range$"),
+        (lambda k4, k5: leading_value(k4, -1), "^vertex index -1 out of range$"),
+        (lambda k4, k5: single_vertex_spline(k5, minimal_selections(k4, 1)[0]),
+         "^selection was computed on a different graph$"),
+        (lambda k4, k5: induced_spline([0] * 4, minimal_selections(k4, 1)[0],
+                                       minimal_selections(k4, 2)[0]),
+         "^selections must target the same vertex of the same graph$"),
+        (lambda k4, k5: induced_spline([0] * 4, minimal_selections(k4, 1)[0],
+                                       minimal_selections(k5, 1)[0]),
+         "^selections must target the same vertex of the same graph$"),
+        (lambda k4, k5: induced_spline([0] * 3, minimal_selections(k4, 1)[0],
+                                       minimal_selections(k4, 1)[0]),
+         "^expected 4 values, got 3$"),
+    ], ids=["lead-past-the-end", "lead-negative", "single-vertex-other-graph",
+            "induced-other-vertex", "induced-other-graph", "induced-length"])
+    def test_rejected(self, k4, k5, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(k4, k5)
 
 
 class TestTopSpline:
