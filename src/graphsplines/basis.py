@@ -19,20 +19,27 @@ x^D - c.
 
 Over the integers the spline module is the lattice L of vectors f with
 l_e | f_u - f_v on every edge e = uv, and its row Hermite normal form is
-the flow-up basis.  ``flowup_basis`` takes the Hermite form of the
-lattice in Z^(m+n), edge columns first, generated by one row
-(D e_i | e_i) per vertex, D the edge-difference matrix, and one row
-(l_e e_e | 0) per edge.  Its rows with pivots in the vertex columns are
-zero on every edge, so their vertex parts are the Hermite basis of L.
-That lattice contains M Z^(m+n), M the lcm of the labels, so every entry
-is kept modulo M: each column adjoins M e_c (at edge column e the edge
-row l_e e_e, which is still untouched there) and carries the remainder
-row forward (Domich, Kannan and Trotter 1987; Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.4.8).  With the edge row
-at hand, an edge entry matters only modulo l_e, so a row keeps just its
-vertex part f and reads its entry at edge uv as f_u - f_v.  No entry
-exceeds M.  The diagonal must reproduce the leading values, which
-``splines`` computes by an independent path closure.
+the flow-up basis.  ``flowup_basis`` writes each row in closed form by
+localising at a coprime base of the labels: pairwise coprime c > 1 whose
+powers multiply to every |l_e|, found by factor refinement (Bach,
+Driscoll and Shallit, J. Algorithms 1993).  With v_c the c-valuation,
+A_c its largest value on the labels and M = prod_c c^A_c their lcm, L
+contains M Z^n, and by the Chinese remainder theorem L / M Z^n splits
+into the lattices of f modulo c^A_c with f_u = f_v mod c^v_c(l_e)
+(Bowden and Tymoczko, "Splines mod m").  Such an f is constant modulo
+c^t on each component of the edges with v_c >= t.  Let beta_k(c) be the
+largest t at which k reaches an earlier vertex through those edges, and
+C_k(c) the component of k in the edges with v_c > beta_k(c), which holds
+no earlier vertex.  Then c^beta_k(c) divides f_k for every such f that
+vanishes before k, and c^beta_k(c) on C_k(c), zero elsewhere, is one.
+So lead_k = prod_c c^beta_k(c), and the row lead_k * h_k, with h_k[k] = 1
+and h_k[j] the sum of the idempotents E_c (1 mod c^A_c, 0 mod
+M / c^A_c) over the c with j in C_k(c), lies in L.  These rows are
+triangular with the least possible diagonal, hence a basis; reducing
+every entry right of the diagonal into [0, lead_j), column by column,
+gives the Hermite form, which is unique.  No entry exceeds M.  The
+diagonal must reproduce the leading values, which ``splines`` computes
+by an independent path closure.
 """
 
 from __future__ import annotations
@@ -196,41 +203,116 @@ def check_basis(g: LabeledGraph, splines: Sequence[Sequence]) -> BasisVerdict:
     )
 
 
-def _hermite_column(rows: list[list[int]], entries: list[int], modulus: int,
-                    M: int, width: int) -> tuple[list[int], int, list[list[int]]]:
-    """One column of the Hermite elimination modulo M.
+def _valuation(x: int, c: int) -> tuple[int, int]:
+    """(v, x / c^v) for the largest v with c^v | x, in O(log v) divisions:
+    v is twice the valuation at c^2, plus one when c still divides."""
+    if x % c:
+        return 0, x
+    w, y = _valuation(x, c * c)
+    return (2 * w + 1, y // c) if y % c == 0 else (2 * w, y)
 
-    ``entries[k]`` is the column entry of ``rows[k]``, which matters only
-    modulo ``modulus``: modulus * e_c lies in the lattice and starts as the
-    pivot row, with vertex part zero.  Each row with a nonzero entry meets
-    the pivot in a unimodular 2x2 step.  Returns the final pivot's vertex
-    part and entry, and the remainder rows, all zero in this column.  Rows
-    are reduced modulo M, and zero rows are dropped.
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers above one whose powers multiply to each
+    of ``values`` (positive integers), by factor refinement (Bach, Driscoll
+    and Shallit 1993).  A value sharing a factor g = gcd with a base
+    element b loses every power of g; b, unless it is g, is replaced by g
+    and by b without its powers of g, which are refined in turn."""
+    base: list[int] = []
+    for x in values:
+        pending = [x]
+        while pending:
+            a, pos = pending.pop(), 0
+            while a > 1 and pos < len(base):
+                b = base[pos]
+                g = math.gcd(a, b)
+                if g == 1:
+                    pos += 1
+                    continue
+                if g != b:
+                    base[pos] = base[-1]
+                    base.pop()
+                    pending += (_valuation(b, g)[1], g)
+                a = _valuation(a, g)[1]
+            if a > 1:
+                base.append(a)
+    return base
+
+
+def _closed_form_rows(g: LabeledGraph, leads: list[int]) -> tuple[list[dict[int, int]], int]:
+    """Triangular rows of the lattice with the leading values on the
+    diagonal, each a dict from vertex to nonzero entry, and M = lcm of
+    the labels (see the module docstring).
+
+    Per base element c and each valuation t that occurs, vertices join a
+    union-find in decreasing order over the edges with v_c >= t, and each
+    component keeps its smallest neighbour across those edges.  Vertex k
+    reaches an earlier vertex at t when that neighbour is below k as k
+    joins.  beta_k(c) is the largest such t (zero if none), and C_k(c) is
+    the component of k at the next t, the first at which it does not.
     """
-    pivot, p = [0] * width, modulus
-    rest = []
-    for row, a in zip(rows, entries):
-        a %= modulus
-        if not a:
-            rest.append(row)
-            continue
-        if a % p == 0:
-            # The general step covers this case too, but rebuilds the pivot.
-            q = a // p
-            row = [(s - q * t) % M for s, t in zip(row, pivot)]
-        else:
-            g = math.gcd(a, p)
-            pa, pp = a // g, p // g
-            x = pow(pa, -1, pp)
-            y = (1 - pa * x) // pp
-            row, pivot, p = (
-                [(pp * s - pa * t) % M for s, t in zip(row, pivot)],
-                [(x * s + y * t) % M for s, t in zip(row, pivot)],
-                g,
-            )
-        if any(row):
-            rest.append(row)
-    return pivot, p, rest
+    ends_of: dict[int, list[tuple[int, int]]] = {}
+    for e in g.edges:
+        ends_of.setdefault(abs(e.label), []).append((e.u, e.v))
+    base = _coprime_base(ends_of)
+    # Per base element c, its edges with v_c(label) >= 1 and that valuation.
+    edges_of: dict[int, list[tuple[int, int, int]]] = {c: [] for c in base}
+    for x, ends in ends_of.items():
+        for c in base:
+            v, x = _valuation(x, c)
+            if v:
+                edges_of[c] += [(u, w, v) for u, w in ends]
+    # The components change only at the valuations that occur.
+    levels = {c: sorted({v for _, _, v in edges}) for c, edges in edges_of.items()}
+    M = math.prod(c ** ts[-1] for c, ts in levels.items())
+    rows = [{k: lead} for k, lead in enumerate(leads)]
+    found = [1] * g.n
+    for c, edges in edges_of.items():
+        q = c ** levels[c][-1]
+        idem = M // q * pow(M // q, -1, q)
+        reached, below = None, 0
+        for t in levels[c]:
+            step, below = c ** (t - below), t
+            adj: dict[int, list[int]] = {}
+            for u, w, v in edges:
+                if v >= t:
+                    adj.setdefault(u, []).append(w)
+                    adj.setdefault(w, []).append(u)
+            parent: dict[int, int] = {}
+            low: dict[int, int] = {}
+            members: dict[int, list[int]] = {}
+            now = set()
+            for k in sorted(adj, reverse=True):
+                root = parent[k] = k
+                low[k] = min(adj[k])
+                members[k] = [k]
+                for w in adj[k]:
+                    if w < k:
+                        continue
+                    while parent[w] != w:
+                        parent[w] = w = parent[parent[w]]
+                    if w == root:
+                        continue
+                    if len(members[w]) > len(members[root]):
+                        root, w = w, root
+                    parent[w] = root
+                    members[root] += members.pop(w)
+                    low[root] = min(low[root], low.pop(w))
+                if low[root] < k:
+                    now.add(k)
+                    found[k] *= step
+                elif reached is None or k in reached:
+                    s = leads[k] * idem % M
+                    row = rows[k]
+                    for j in members[root]:
+                        if j != k:
+                            row[j] = (row.get(j, 0) + s) % M
+            reached = now
+    if found != leads:
+        raise InternalConsistencyError(
+            "flow-up diagonal does not reproduce the leading values"
+        )
+    return rows, M
 
 
 def flowup_basis(g: LabeledGraph) -> list[list[int]]:
@@ -238,34 +320,48 @@ def flowup_basis(g: LabeledGraph) -> list[list[int]]:
 
     Returns n splines; the k-th vanishes on the first k-1 vertices, its
     value at vertex k is that vertex's leading value, and its values at
-    later vertices j lie in [0, lead_j).  The splines form a module basis:
-    the lattice is solved exactly, modulo the lcm of the labels (see the
-    module docstring), not constructed greedily.  The diagonal is checked
-    against ``leading_values``.
+    later vertices j lie in [0, lead_j).  The rows are built in closed form
+    and reduced once (see the module docstring).  The diagonal is checked
+    against ``leading_values``, and each row before the reduction against
+    the edges at its nonzero entries.
     """
     if g.domain is not ZZ:
         raise ValueError("the flow-up oracle works over the integer domain only")
     leads = leading_values(g)
-    n = g.n
-    M = ZZ.lcm_all(e.label for e in g.edges)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for e in g.edges:
-        entries = [f[e.u] - f[e.v] for f in rows]
-        _, _, rows = _hermite_column(rows, entries, abs(e.label), M, n)
+    rows, M = _closed_form_rows(g, leads)
+    cols: list[set[int]] = [set() for _ in range(g.n)]
+    for k, row in enumerate(rows):
+        for j, x in row.items():
+            for e, w in g.neighbors(j):
+                if (x - row.get(w, 0)) % g.edges[e].label:
+                    raise InternalConsistencyError(
+                        f"flow-up row {k} fails the edge {j}-{w}"
+                    )
+            if j != k:
+                cols[j].add(k)
+    # In increasing column order, row k takes the multiple of row c that
+    # brings its entry at c into [0, lead_c).  Only rows nonzero at c and
+    # the nonzero columns of row c are touched.
+    for c, (d, pivot) in enumerate(zip(leads, rows)):
+        for k in cols[c]:
+            row = rows[k]
+            q = row.get(c, 0) // d
+            if not q:
+                continue
+            for j, t in pivot.items():
+                x = (row.get(j, 0) - q * t) % M
+                if x:
+                    row[j] = x
+                    if j > c:
+                        cols[j].add(k)
+                else:
+                    row.pop(j, None)
     basis = []
-    for c in range(n):
-        pivot, p, rows = _hermite_column(rows, [f[c] for f in rows], M, M, n)
-        pivot[c] = p
-        basis.append(pivot)
-    for c in range(n):
-        for k in range(c):
-            q = basis[k][c] // basis[c][c]
-            if q:
-                basis[k][c:] = [s - q * t for s, t in zip(basis[k][c:], basis[c][c:])]
-    if [basis[k][k] for k in range(n)] != leads:
-        raise InternalConsistencyError(
-            "flow-up diagonal does not reproduce the leading values"
-        )
+    for row in rows:
+        out = [0] * g.n
+        for j, x in row.items():
+            out[j] = x
+        basis.append(out)
     return basis
 
 

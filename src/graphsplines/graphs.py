@@ -171,6 +171,31 @@ def completion(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.domain, g.vertex_names, edges)
 
 
+def _trail_limit_error(g: LabeledGraph, i: int, max_trails: int) -> TrailLimitError:
+    return TrailLimitError(f"vertex {g.vertex_names[i]} has more than "
+                           f"{max_trails} zero trails; raise the cap to continue")
+
+
+def check_completion_trail_cap(g: LabeledGraph, i: int,
+                               max_trails: int = DEFAULT_TRAIL_LIMIT) -> None:
+    """Raise ``TrailLimitError``, as ``zero_trails`` would on the completion
+    of ``g``, when vertex ``i`` has more than ``max_trails`` zero trails
+    there, without building the completion.
+
+    On K_n a zero trail of vertex i is a simple path through k of the
+    L = n-1-i later vertices, in order, then an edge to one of the i
+    earlier ones: i * sum_k L!/(L-k)! trails whatever the labels.  The sum
+    stops once it passes the cap.
+    """
+    later = g.n - 1 - i
+    count, paths = 0, 1
+    for k in range(later + 1):
+        count += i * paths
+        if count > max_trails:
+            raise _trail_limit_error(g, i, max_trails)
+        paths *= later - k
+
+
 def zero_trails(g: LabeledGraph, i: int,
                 max_trails: int = DEFAULT_TRAIL_LIMIT) -> list[Trail]:
     """Containment-reduced zero trails of vertex ``i`` (0-based, ``i >= 1``).
@@ -222,10 +247,7 @@ def zero_trails(g: LabeledGraph, i: int,
                 pending.append(iter(g.neighbors(w)))
                 break
             if len(results) >= max_trails:
-                raise TrailLimitError(
-                    f"vertex {g.vertex_names[i]} has more than {max_trails} "
-                    "zero trails; raise the cap to continue"
-                )
+                raise _trail_limit_error(g, i, max_trails)
             results.append(Trail((*path_edges, edge_index), (*path_vertices, w), x))
         else:
             pending.pop()

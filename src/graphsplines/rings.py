@@ -268,6 +268,7 @@ class IntegerDomain(Domain):
     name = "int"
     zero = 0
     one = 1
+    _INTEGER = re.compile(r"[+-]?[0-9]+")
 
     def coerce(self, a):
         if not isinstance(a, int):
@@ -275,7 +276,7 @@ class IntegerDomain(Domain):
         return a
 
     def parse(self, text: str) -> int:
-        m = re.fullmatch(r"[+-]?[0-9]+", text.strip())
+        m = self._INTEGER.fullmatch(text.strip())
         if m is None:
             raise RingParseError(f"not an integer: {text!r}")
         return _decimal(m.group())

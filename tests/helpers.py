@@ -6,9 +6,10 @@ expansion, zero trails by full trail enumeration plus explicit edge-set
 pruning, leading values from the listed zero trails, the selection
 factors of every edge of every long zero trail, minimal selections by a
 hitting-set search over the long trails' label sets, trail counts by dynamic
-programming over used-edge sets, and the flow-up basis and span
-coordinates through a Hermite form over the integers that tracks its
-unimodular transform.  ``ZZ[x]`` gcd, lcm and exact division go through
+programming over used-edge sets, the flow-up basis and span coordinates
+through a Hermite form over the integers that tracks its unimodular
+transform, and the flow-up basis again by a Hermite elimination modulo
+the lcm of the labels.  ``ZZ[x]`` gcd, lcm and exact division go through
 a pseudo-remainder sequence that scales at every step and a long division
 on ``IntPoly`` values.  ``permute_vertices`` reorders a graph for the
 invariance tests.
@@ -594,6 +595,85 @@ def kernel_flowup_basis(g: LabeledGraph) -> list[list[int]]:
                 "flow-up diagonal does not reproduce the leading values"
             )
     return echelon
+
+
+def _hermite_column(rows: list[list[int]], entries: list[int], modulus: int,
+                    M: int, width: int) -> tuple[list[int], int, list[list[int]]]:
+    """One column of the Hermite elimination modulo M.
+
+    ``entries[k]`` is the column entry of ``rows[k]``, which matters only
+    modulo ``modulus``: modulus * e_c lies in the lattice and starts as the
+    pivot row, with vertex part zero.  Each row with a nonzero entry meets
+    the pivot in a unimodular 2x2 step.  Returns the final pivot's vertex
+    part and entry, and the remainder rows, all zero in this column.  Rows
+    are reduced modulo M, and zero rows are dropped.
+    """
+    pivot, p = [0] * width, modulus
+    rest = []
+    for row, a in zip(rows, entries):
+        a %= modulus
+        if not a:
+            rest.append(row)
+            continue
+        if a % p == 0:
+            # The general step covers this case too, but rebuilds the pivot.
+            q = a // p
+            row = [(s - q * t) % M for s, t in zip(row, pivot)]
+        else:
+            g = math.gcd(a, p)
+            pa, pp = a // g, p // g
+            x = pow(pa, -1, pp)
+            y = (1 - pa * x) // pp
+            row, pivot, p = (
+                [(pp * s - pa * t) % M for s, t in zip(row, pivot)],
+                [(x * s + y * t) % M for s, t in zip(row, pivot)],
+                g,
+            )
+        if any(row):
+            rest.append(row)
+    return pivot, p, rest
+
+
+def modular_flowup_basis(g: LabeledGraph) -> list[list[int]]:
+    """Flow-up basis of the integer spline lattice by a Hermite elimination
+    modulo M, the lcm of the labels.
+
+    Reference for ``basis.flowup_basis``, the way it was computed before
+    the closed-form rows: the Hermite form of the lattice in Z^(m+n), edge
+    columns first, generated by one row (D e_i | e_i) per vertex, D the
+    edge-difference matrix, and one row (l_e e_e | 0) per edge.  Its rows
+    with pivots in the vertex columns are the flow-up basis.  Each column
+    adjoins M e_c (at edge column e the edge row l_e e_e) and carries the
+    remainder rows forward reduced modulo M (Domich, Kannan and Trotter
+    1987; Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 2.4.8).  A row keeps only its vertex part f and reads its entry
+    at edge uv as f_u - f_v.  The diagonal is checked against the leading
+    values.
+    """
+    if g.domain is not ZZ:
+        raise ValueError("the flow-up oracle works over the integer domain only")
+    leads = leading_values(g)
+    n = g.n
+    M = ZZ.lcm_all(e.label for e in g.edges)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for e in g.edges:
+        entries = [f[e.u] - f[e.v] for f in rows]
+        _, _, rows = _hermite_column(rows, entries, abs(e.label), M, n)
+    basis = []
+    for c in range(n):
+        pivot, p, rows = _hermite_column(rows, [f[c] for f in rows], M, M, n)
+        pivot[c] = p
+        basis.append(pivot)
+    for c in range(n):
+        for k in range(c):
+            q = basis[k][c] // basis[c][c]
+            if q:
+                basis[k][c:] = [s - q * t for s, t in zip(basis[k][c:], basis[c][c:])]
+    if [basis[k][k] for k in range(n)] != leads:
+        raise InternalConsistencyError(
+            "flow-up diagonal does not reproduce the leading values"
+        )
+    return basis
 
 
 def hermite_span_coordinates(g: LabeledGraph, basis: Sequence[Sequence[int]],

@@ -299,6 +299,24 @@ class TestFlowupBasis:
             assert determinant_target(h) == determinant_target(g)
 
 
+    def test_wall_n300_m900(self):
+        # Rows in the lattice, triangular, with the leading values on the
+        # diagonal and every entry right of it in [0, lead_j): that is the
+        # Hermite form, certified without an oracle that takes seconds here.
+        g = helpers.random_sparse_graph(random.Random(300900), 300, 900)
+        rows = flowup_basis(g)
+        leads = leading_values(g)
+        assert [rows[k][k] for k in range(g.n)] == leads
+        for k, row in enumerate(rows):
+            assert not any(row[:k])
+            assert all(0 <= v < leads[j] for j, v in enumerate(row) if j > k)
+            assert is_spline(g, row)
+
+    def test_diagonal_checked_against_the_leading_values(self, diamond, monkeypatch):
+        monkeypatch.setattr(basis_mod, "leading_values", lambda g: [1] * g.n)
+        with pytest.raises(InternalConsistencyError, match="diagonal"):
+            flowup_basis(diamond)
+
     def test_wall_n64_m128(self):
         g = helpers.random_sparse_graph(random.Random(64128), 64, 128)
         rows = flowup_basis(g)
@@ -387,10 +405,82 @@ class TestKernelOracle:
     def test_entry_dividing_the_pivot(self, edges, want):
         # Column entries that properly divide the current pivot: 1 | 6 and
         # 2 | 4 at the edge columns, 6 | 12 and 4 | 12 at the vertex columns
-        # (M = 12).  ``_hermite_column`` meets them with its general
-        # extended-gcd step (x = 1, y = 0); this pins that step.
+        # (M = 12).  The modular oracle's ``helpers._hermite_column`` meets
+        # them with its general extended-gcd step (x = 1, y = 0); this pins
+        # that step.
         g = helpers.make_graph("int", ["v1", "v2", "v3"], edges)
         assert flowup_basis(g) == helpers.kernel_flowup_basis(g) == want
+        assert helpers.modular_flowup_basis(g) == want
+
+
+# Primes just below 2^31 and 2^30: their pairwise products are 60- and
+# 61-bit semiprimes that share a factor.
+P31, Q30, R30 = 2 ** 31 - 1, 1073741789, 1073741783
+LOCAL_LABELS = st.sampled_from([
+    32, 81, 12, 18, 72, -8,          # prime powers and their products
+    35, 1225, -175,                  # 35 stays one base element, squared
+    P31 * Q30, P31 * R30, -Q30 * R30,
+    1, -1, -1225, 2 ** 200, -(6 ** 90),
+])
+
+
+@st.composite
+def local_graphs(draw):
+    """Integer graphs on up to seven vertices whose coprime base has prime
+    powers, a composite element and large shared factors; most are built
+    on a spanning tree, the others may be disconnected."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    names = [f"v{k}" for k in range(1, n + 1)]
+    pairs = set()
+    if n > 1:
+        if draw(st.integers(min_value=0, max_value=3)):
+            pairs = {(draw(st.integers(min_value=0, max_value=v - 1)), v)
+                     for v in range(1, n)}
+        pairs |= set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                                   max_size=n + 2)))
+    return helpers.make_graph("int", names, [
+        (names[u], names[v], draw(LOCAL_LABELS)) for u, v in sorted(pairs)
+    ])
+
+
+class TestLocalisation:
+    """The closed-form rows against the kernel construction and the
+    modular Hermite elimination in ``helpers``, and the coprime base they
+    are localised at."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(local_graphs())
+    def test_matches_both_oracles(self, g):
+        try:
+            want = helpers.modular_flowup_basis(g)
+        except DisconnectedGraphError:
+            for build in (flowup_basis, helpers.kernel_flowup_basis):
+                with pytest.raises(DisconnectedGraphError):
+                    build(g)
+            return
+        assert flowup_basis(g) == want == helpers.kernel_flowup_basis(g)
+
+    @given(st.lists(st.one_of(LOCAL_LABELS, LABELS), max_size=12))
+    def test_coprime_base(self, labels):
+        base = basis_mod._coprime_base({abs(x) for x in labels})
+        assert all(c > 1 for c in base)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+        for x in labels:
+            for c in base:
+                while x % c == 0:
+                    x //= c
+            assert x in (1, -1)
+
+    @pytest.mark.parametrize("labels, want", [
+        ([12, 18], {2, 3}),
+        ([35, 1225], {35}),
+        ([32, 81, 72], {2, 9}),
+        ([P31 * Q30, P31 * R30], {P31, Q30, R30}),
+        ([1, 1], set()),
+        ([2 ** 200 * 3 ** 5, 6], {2, 3}),
+    ])
+    def test_coprime_base_examples(self, labels, want):
+        assert set(basis_mod._coprime_base(labels)) == want
 
 
 class TestSpanCoordinates:

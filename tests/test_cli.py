@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from graphsplines import cli, flowup_basis, splines, top_spline
+from graphsplines import cli, flowup_basis, graphs, splines, top_spline
 from graphsplines.cli import main
 from graphsplines.rings import MAX_DEGREE
 
@@ -386,6 +386,26 @@ class TestConstruct:
         assert code == 0 and "note: selection 5 uses labels" in err
         assert len(out.splitlines()) == 6
         assert len(calls) == 1
+
+    def test_cap_checked_before_the_completion(self, capsys, tmp_path, monkeypatch):
+        # The completion of an 800-vertex path has 318 801 more edges, and
+        # v2 has far more than 1000 zero trails there: the cap stops the
+        # command before any of them is built.
+        names = [f"v{k}" for k in range(1, 801)]
+        path = doc_path(tmp_path, helpers.graph_doc(
+            "int", names, [(a, b, 2) for a, b in zip(names, names[1:])]))
+
+        def refuse(g):
+            raise AssertionError("the completion was built")
+
+        monkeypatch.setattr(graphs, "completion", refuse)
+        code, out, err = run(capsys, "construct", "--graph", path,
+                             "--vertex", "2", "--max-trails", "1000")
+        assert code == 2 and out == ""
+        assert err == ("note: completed the graph with 318801 unit-labeled edges; "
+                       "selection ids refer to the completion\n"
+                       "error: vertex v2 has more than 1000 zero trails; "
+                       "raise the cap to continue\n")
 
     def test_selection_id_past_the_count(self, capsys, tmp_path):
         code, out, err = run(capsys, "construct", "--graph",

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from helpers import enumerate_trails, permute_vertices
+from graphsplines import graphs
 from graphsplines import (
     GraphDocumentError,
     TrailLimitError,
@@ -161,6 +162,21 @@ class TestZeroTrails:
     def test_vertex_past_the_last_rejected(self, diamond):
         with pytest.raises(ValueError, match="^vertex index 4 out of range$"):
             zero_trails(diamond, 4)
+
+    def test_completion_trail_cap_counts_the_zero_trails(self):
+        # The cap check on the completion, which it does not build, allows
+        # exactly the number of zero trails zero_trails lists there.
+        rng = random.Random(5)
+        for n in range(2, 8):
+            g = helpers.random_connected_graph(rng, n, extra_edge_p=0.2)
+            k = completion(g)
+            for i in range(1, n):
+                count = len(zero_trails(k, i))
+                graphs.check_completion_trail_cap(g, i, count)
+                with pytest.raises(TrailLimitError, match=f"more than {count - 1} zero"):
+                    graphs.check_completion_trail_cap(g, i, count - 1)
+                with pytest.raises(TrailLimitError, match=f"more than {count - 1} zero"):
+                    zero_trails(k, i, count - 1)
 
     def test_antichain(self, k5):
         for i in range(1, k5.n):
