@@ -19,27 +19,30 @@ x^D - c.
 
 Over the integers the spline module is the lattice L of vectors f with
 l_e | f_u - f_v on every edge e = uv, and its row Hermite normal form is
-the flow-up basis.  ``flowup_basis`` writes each row in closed form by
-localising at a coprime base of the labels: pairwise coprime c > 1 whose
-powers multiply to every |l_e|, found by factor refinement (Bach,
-Driscoll and Shallit, J. Algorithms 1993).  With v_c the c-valuation,
-A_c its largest value on the labels and M = prod_c c^A_c their lcm, L
-contains M Z^n, and by the Chinese remainder theorem L / M Z^n splits
-into the lattices of f modulo c^A_c with f_u = f_v mod c^v_c(l_e)
-(Bowden and Tymoczko, "Splines mod m").  Such an f is constant modulo
-c^t on each component of the edges with v_c >= t.  Let beta_k(c) be the
-largest t at which k reaches an earlier vertex through those edges, and
-C_k(c) the component of k in the edges with v_c > beta_k(c), which holds
-no earlier vertex.  Then c^beta_k(c) divides f_k for every such f that
-vanishes before k, and c^beta_k(c) on C_k(c), zero elsewhere, is one.
-So lead_k = prod_c c^beta_k(c), and the row lead_k * h_k, with h_k[k] = 1
-and h_k[j] the sum of the idempotents E_c (1 mod c^A_c, 0 mod
-M / c^A_c) over the c with j in C_k(c), lies in L.  These rows are
-triangular with the least possible diagonal, hence a basis; reducing
-every entry right of the diagonal into [0, lead_j), column by column,
-gives the Hermite form, which is unique.  No entry exceeds M.  The
-diagonal must reproduce the leading values, which ``splines`` computes
-by an independent path closure.
+the flow-up basis.  With M the lcm of the labels, L contains M Z^n, and
+L / M Z^n splits over the primes p of M into the lattices of f modulo
+p^v_p(M) with f_u = f_v mod p^v_p(l_e) (Bowden and Tymoczko, "Splines
+mod m"); such an f is constant modulo p^t on each component of the edges
+with v_p >= t.  ``flowup_basis`` reads each row off the path closure that
+gives the leading values (``splines.path_closure``).  Run from vertex k,
+it returns lead_k, whose p-power is the largest t at which k reaches an
+earlier vertex through those edges, and reach_k[v], whose p-power is the
+largest t at which k reaches v through later vertices.  So p^v_p(lead_k)
+divides f_k whenever f vanishes before k, and lead_k on k and on the v
+with v_p(reach_k[v]) > v_p(lead_k), zero elsewhere, is such an f: those
+vertices are a component of the edges with v_p > v_p(lead_k), which holds
+no earlier vertex.  Glued over p by the Chinese remainder theorem, row k
+is lead_k at k and lead_k * E_Q mod M at each later v, where E_Q is 1 mod
+Q and 0 mod M / Q, and Q is the part of M on the primes of
+u = reach_k[v] / gcd(reach_k[v], lead_k): gcd(M, u), with its exponents
+doubled by gcds with the rest of M until none is left, so nothing is
+factored.  With E_Q = (M / Q) * r, r the inverse of M / Q modulo Q, the
+entry is (M / Q) * (lead_k * r mod Q): no remainder modulo M, which
+would cost a quadratic division on labels of a million bits.  A walk the closure drops has a gcd dividing lead_k, so it
+cannot change a row.  These rows are triangular with the least possible
+diagonal, hence a basis; reducing every entry right of the diagonal into
+[0, lead_j), column by column, gives the Hermite form, which is unique.
+No entry exceeds M.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Optional, Sequence
 
 from .graphs import LabeledGraph
 from .rings import ZZ, ZZX, Domain, IntPoly
-from .splines import determinant_target, first_violation, leading_values
+from .splines import determinant_target, first_violation, path_closure
 
 
 class InternalConsistencyError(RuntimeError):
@@ -203,146 +206,50 @@ def check_basis(g: LabeledGraph, splines: Sequence[Sequence]) -> BasisVerdict:
     )
 
 
-def _valuation(x: int, c: int) -> tuple[int, int]:
-    """(v, x / c^v) for the largest v with c^v | x, in O(log v) divisions:
-    v is twice the valuation at c^2, plus one when c still divides."""
-    if x % c:
-        return 0, x
-    w, y = _valuation(x, c * c)
-    return (2 * w + 1, y // c) if y % c == 0 else (2 * w, y)
-
-
-def _coprime_base(values) -> list[int]:
-    """Pairwise coprime integers above one whose powers multiply to each
-    of ``values`` (positive integers), by factor refinement (Bach, Driscoll
-    and Shallit 1993).  A value sharing a factor g = gcd with a base
-    element b loses every power of g; b, unless it is g, is replaced by g
-    and by b without its powers of g, which are refined in turn."""
-    base: list[int] = []
-    for x in values:
-        pending = [x]
-        while pending:
-            a, pos = pending.pop(), 0
-            while a > 1 and pos < len(base):
-                b = base[pos]
-                g = math.gcd(a, b)
-                if g == 1:
-                    pos += 1
-                    continue
-                if g != b:
-                    base[pos] = base[-1]
-                    base.pop()
-                    pending += (_valuation(b, g)[1], g)
-                a = _valuation(a, g)[1]
-            if a > 1:
-                base.append(a)
-    return base
-
-
-def _closed_form_rows(g: LabeledGraph, leads: list[int]) -> tuple[list[dict[int, int]], int]:
-    """Triangular rows of the lattice with the leading values on the
-    diagonal, each a dict from vertex to nonzero entry, and M = lcm of
-    the labels (see the module docstring).
-
-    Per base element c and each valuation t that occurs, vertices join a
-    union-find in decreasing order over the edges with v_c >= t, and each
-    component keeps its smallest neighbour across those edges.  Vertex k
-    reaches an earlier vertex at t when that neighbour is below k as k
-    joins.  beta_k(c) is the largest such t (zero if none), and C_k(c) is
-    the component of k at the next t, the first at which it does not.
-    """
-    ends_of: dict[int, list[tuple[int, int]]] = {}
-    for e in g.edges:
-        ends_of.setdefault(abs(e.label), []).append((e.u, e.v))
-    base = _coprime_base(ends_of)
-    # Per base element c, its edges with v_c(label) >= 1 and that valuation.
-    edges_of: dict[int, list[tuple[int, int, int]]] = {c: [] for c in base}
-    for x, ends in ends_of.items():
-        for c in base:
-            v, x = _valuation(x, c)
-            if v:
-                edges_of[c] += [(u, w, v) for u, w in ends]
-    # The components change only at the valuations that occur.
-    levels = {c: sorted({v for _, _, v in edges}) for c, edges in edges_of.items()}
-    M = math.prod(c ** ts[-1] for c, ts in levels.items())
-    rows = [{k: lead} for k, lead in enumerate(leads)]
-    found = [1] * g.n
-    for c, edges in edges_of.items():
-        q = c ** levels[c][-1]
-        idem = M // q * pow(M // q, -1, q)
-        reached, below = None, 0
-        for t in levels[c]:
-            step, below = c ** (t - below), t
-            adj: dict[int, list[int]] = {}
-            for u, w, v in edges:
-                if v >= t:
-                    adj.setdefault(u, []).append(w)
-                    adj.setdefault(w, []).append(u)
-            parent: dict[int, int] = {}
-            low: dict[int, int] = {}
-            members: dict[int, list[int]] = {}
-            now = set()
-            for k in sorted(adj, reverse=True):
-                root = parent[k] = k
-                low[k] = min(adj[k])
-                members[k] = [k]
-                for w in adj[k]:
-                    if w < k:
-                        continue
-                    while parent[w] != w:
-                        parent[w] = w = parent[parent[w]]
-                    if w == root:
-                        continue
-                    if len(members[w]) > len(members[root]):
-                        root, w = w, root
-                    parent[w] = root
-                    members[root] += members.pop(w)
-                    low[root] = min(low[root], low.pop(w))
-                if low[root] < k:
-                    now.add(k)
-                    found[k] *= step
-                elif reached is None or k in reached:
-                    s = leads[k] * idem % M
-                    row = rows[k]
-                    for j in members[root]:
-                        if j != k:
-                            row[j] = (row.get(j, 0) + s) % M
-            reached = now
-    if found != leads:
-        raise InternalConsistencyError(
-            "flow-up diagonal does not reproduce the leading values"
-        )
-    return rows, M
-
-
 def flowup_basis(g: LabeledGraph) -> list[list[int]]:
     """Flow-up basis of the integer spline lattice: its row Hermite form.
 
     Returns n splines; the k-th vanishes on the first k-1 vertices, its
     value at vertex k is that vertex's leading value, and its values at
-    later vertices j lie in [0, lead_j).  The rows are built in closed form
-    and reduced once (see the module docstring).  The diagonal is checked
-    against ``leading_values``, and each row before the reduction against
-    the edges at its nonzero entries.
+    later vertices j lie in [0, lead_j).  Row k is read off the path
+    closure run from k, the first vertex with lead one, and reduced once
+    (see the module docstring).  Each row before the reduction is checked
+    against the edges at its nonzero entries.
     """
     if g.domain is not ZZ:
         raise ValueError("the flow-up oracle works over the integer domain only")
-    leads = leading_values(g)
-    rows, M = _closed_form_rows(g, leads)
+    M = ZZ.lcm_all(e.label for e in g.edges)
+    idempotents: dict[int, tuple[int, int, int]] = {}
+    rows: list[dict[int, int]] = []
     cols: list[set[int]] = [set() for _ in range(g.n)]
-    for k, row in enumerate(rows):
+    for k in range(g.n):
+        lead, reach = path_closure(g, k, 1 if k == 0 else None)
+        row = {k: lead}
+        for v, x in reach.items():
+            u = x // math.gcd(x, lead)
+            if v == k or u == 1:
+                continue
+            idem = idempotents.get(u)
+            if idem is None:
+                q = math.gcd(M, u)
+                while (h := math.gcd(M // q, q)) > 1:
+                    q *= h
+                idem = idempotents[u] = (M // q, pow(M // q, -1, q), q)
+            rest, inverse, q = idem
+            row[v] = rest * (lead * inverse % q)
+            cols[v].add(k)
         for j, x in row.items():
             for e, w in g.neighbors(j):
                 if (x - row.get(w, 0)) % g.edges[e].label:
                     raise InternalConsistencyError(
                         f"flow-up row {k} fails the edge {j}-{w}"
                     )
-            if j != k:
-                cols[j].add(k)
+        rows.append(row)
     # In increasing column order, row k takes the multiple of row c that
     # brings its entry at c into [0, lead_c).  Only rows nonzero at c and
     # the nonzero columns of row c are touched.
-    for c, (d, pivot) in enumerate(zip(leads, rows)):
+    for c, pivot in enumerate(rows):
+        d = pivot[c]
         for k in cols[c]:
             row = rows[k]
             q = row.get(c, 0) // d

@@ -217,12 +217,15 @@ def zero_trails(g: LabeledGraph, i: int,
     So the reduced family is enumerated here directly as simple paths.
     Each path carries the gcd of its prefix, one ``gcd`` per step.  The
     walk takes neighbours in edge-index order and never extends a zero
-    trail, so its preorder is already sorted by ``edges``.
+    trail, so its preorder is already sorted by ``edges``.  On a complete
+    graph the cap is checked first, against the count in closed form.
     """
     if i < 1:
         raise ValueError("the first vertex has no zero trails")
     if i >= g.n:
         raise ValueError(f"vertex index {i} out of range")
+    if g.is_complete:
+        check_completion_trail_cap(g, i, max_trails)
     d = g.domain
     results: list[Trail] = []
     on_path = [False] * g.n

@@ -5,7 +5,8 @@ across every edge is divisible by that edge's label.  For vertex i the
 leading value is the lcm of the gcds of its zero trails; the product of
 all leading values is the determinant target used by the basis check.
 Leading values come from a path closure that lists no trails (see
-``leading_value``); trails are enumerated only for the selections below,
+``path_closure``), whose reach map also gives the integer flow-up rows
+in ``basis``; trails are enumerated only for the selections below,
 whose output is made of trails.
 
 A selection at vertex i picks one edge from every zero trail of length
@@ -55,34 +56,33 @@ def is_spline(g: LabeledGraph, values: Sequence) -> bool:
     return first_violation(g, values) is None
 
 
-def leading_value(g: LabeledGraph, i: int):
-    """lcm of the zero-trail gcds of vertex ``i``; one for the first vertex.
+def path_closure(g: LabeledGraph, i: int, lead=None):
+    """(lead, reach) for vertex ``i``: its leading value and its reach map.
 
-    Computed as a path closure over the ``(lcm, gcd)`` semiring, without
-    listing trails.  A worklist walks from ``i`` through vertices ``> i``
-    and keeps ``reach[v]``, the lcm of the gcds of the walks found so far
-    from ``i`` to ``v``; an edge into an earlier vertex folds the walk's
-    gcd into the result.  This is exact:
+    A path closure over the ``(lcm, gcd)`` semiring, without listing
+    trails.  A worklist walks from ``i`` through vertices ``> i`` and
+    keeps ``reach[v]``, the lcm of the gcds of the walks found so far from
+    ``i`` to ``v`` (``reach[i]`` stays zero); an edge into an earlier
+    vertex folds the walk's gcd into the lead, which starts at ``lead``.
+    This is exact:
 
     * gcd distributes over lcm in a GCD domain, so relaxing ``reach[v]``
       as a whole equals relaxing each walk into ``v`` on its own;
     * cutting the cycles out of a walk leaves a zero trail (a simple path,
       see ``zero_trails``) whose gcd is a multiple of the walk's, so the
       lcm over walks equals the lcm over zero trails;
-    * a walk whose gcd already divides the result or ``reach[v]`` is
+    * a walk whose gcd already divides the lead or ``reach[v]`` is
       dropped, which is sound because extending a walk only shrinks its
       gcd.
 
+    A walk dropped against the lead may be missing from ``reach``, but its
+    gcd divides the lead: the power of a prime in ``reach[v]`` is exact
+    where it exceeds the lead's, all that ``basis.flowup_basis`` reads.
     Every update strictly grows ``reach[v]`` inside the divisors of the
     lcm of the labels at ``v``, so the loop ends after polynomially many
     gcd and lcm operations.
     """
-    if not 0 <= i < g.n:
-        raise ValueError(f"vertex index {i} out of range")
     d = g.domain
-    if i == 0:
-        return d.one
-    lead = None
     reach = {i: d.zero}
     work = [i]
     queued = {i}
@@ -110,7 +110,17 @@ def leading_value(g: LabeledGraph, i: int):
         raise DisconnectedGraphError(
             f"vertex {g.vertex_names[i]} has no trail to any earlier vertex"
         )
-    return lead
+    return lead, reach
+
+
+def leading_value(g: LabeledGraph, i: int):
+    """lcm of the zero-trail gcds of vertex ``i`` (the lead of
+    ``path_closure``); one for the first vertex."""
+    if not 0 <= i < g.n:
+        raise ValueError(f"vertex index {i} out of range")
+    if i == 0:
+        return g.domain.one
+    return path_closure(g, i)[0]
 
 
 def leading_values(g: LabeledGraph) -> list:

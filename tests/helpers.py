@@ -8,8 +8,9 @@ factors of every edge of every long zero trail, minimal selections by a
 hitting-set search over the long trails' label sets, trail counts by dynamic
 programming over used-edge sets, the flow-up basis and span coordinates
 through a Hermite form over the integers that tracks its unimodular
-transform, and the flow-up basis again by a Hermite elimination modulo
-the lcm of the labels.  ``ZZ[x]`` gcd, lcm and exact division go through
+transform, the flow-up basis again by a Hermite elimination modulo the
+lcm of the labels, and a third time by localising at a coprime base of
+the labels.  ``ZZ[x]`` gcd, lcm and exact division go through
 a pseudo-remainder sequence that scales at every step and a long division
 on ``IntPoly`` values.  ``permute_vertices`` reorders a graph for the
 invariance tests.
@@ -664,15 +665,158 @@ def modular_flowup_basis(g: LabeledGraph) -> list[list[int]]:
         pivot, p, rows = _hermite_column(rows, [f[c] for f in rows], M, M, n)
         pivot[c] = p
         basis.append(pivot)
-    for c in range(n):
-        for k in range(c):
-            q = basis[k][c] // basis[c][c]
-            if q:
-                basis[k][c:] = [s - q * t for s, t in zip(basis[k][c:], basis[c][c:])]
+    _reduce_above_diagonal(basis)
     if [basis[k][k] for k in range(n)] != leads:
         raise InternalConsistencyError(
             "flow-up diagonal does not reproduce the leading values"
         )
+    return basis
+
+
+def _reduce_above_diagonal(basis: list[list[int]]) -> None:
+    """Reduce, in place, every entry of a triangular basis right of the
+    diagonal into [0, pivot) of its column: the unique Hermite form."""
+    for c in range(len(basis)):
+        for k in range(c):
+            q = basis[k][c] // basis[c][c]
+            if q:
+                basis[k][c:] = [s - q * t for s, t in zip(basis[k][c:], basis[c][c:])]
+
+
+def _valuation(x: int, c: int) -> tuple[int, int]:
+    """(v, x / c^v) for the largest v with c^v | x, in O(log v) divisions:
+    v is twice the valuation at c^2, plus one when c still divides."""
+    if x % c:
+        return 0, x
+    w, y = _valuation(x, c * c)
+    return (2 * w + 1, y // c) if y % c == 0 else (2 * w, y)
+
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers above one whose powers multiply to each
+    of ``values`` (positive integers), by factor refinement (Bach, Driscoll
+    and Shallit 1993).  A value sharing a factor g = gcd with a base
+    element b loses every power of g; b, unless it is g, is replaced by g
+    and by b without its powers of g, which are refined in turn."""
+    base: list[int] = []
+    for x in values:
+        pending = [x]
+        while pending:
+            a, pos = pending.pop(), 0
+            while a > 1 and pos < len(base):
+                b = base[pos]
+                g = math.gcd(a, b)
+                if g == 1:
+                    pos += 1
+                    continue
+                if g != b:
+                    base[pos] = base[-1]
+                    base.pop()
+                    pending += (_valuation(b, g)[1], g)
+                a = _valuation(a, g)[1]
+            if a > 1:
+                base.append(a)
+    return base
+
+
+def _closed_form_rows(g: LabeledGraph, leads: list[int]) -> tuple[list[dict[int, int]], int]:
+    """Triangular rows of the lattice with the leading values on the
+    diagonal, each a dict from vertex to entry, and M = lcm of the labels.
+
+    The lattice modulo M splits over a coprime base of the labels
+    (Bowden and Tymoczko, "Splines mod m").  For a base element c, let
+    beta_k(c) be the largest valuation t at which k reaches an earlier
+    vertex through the edges with v_c >= t, and C_k(c) the component of k
+    in the edges with v_c > beta_k(c).  Row k is lead_k at k and lead_k
+    times the sum of the idempotents E_c (1 mod c^A_c, 0 mod M / c^A_c)
+    over the c with j in C_k(c) at each later j; the product of the
+    c^beta_k(c) must reproduce lead_k.
+
+    Per base element c and each valuation t that occurs, vertices join a
+    union-find in decreasing order over the edges with v_c >= t, and each
+    component keeps its smallest neighbour across those edges.  Vertex k
+    reaches an earlier vertex at t when that neighbour is below k as k
+    joins.  beta_k(c) is the largest such t (zero if none), and C_k(c) is
+    the component of k at the next t, the first at which it does not.
+    """
+    ends_of: dict[int, list[tuple[int, int]]] = {}
+    for e in g.edges:
+        ends_of.setdefault(abs(e.label), []).append((e.u, e.v))
+    base = _coprime_base(ends_of)
+    # Per base element c, its edges with v_c(label) >= 1 and that valuation.
+    edges_of: dict[int, list[tuple[int, int, int]]] = {c: [] for c in base}
+    for x, ends in ends_of.items():
+        for c in base:
+            v, x = _valuation(x, c)
+            if v:
+                edges_of[c] += [(u, w, v) for u, w in ends]
+    # The components change only at the valuations that occur.
+    levels = {c: sorted({v for _, _, v in edges}) for c, edges in edges_of.items()}
+    M = math.prod(c ** ts[-1] for c, ts in levels.items())
+    rows = [{k: lead} for k, lead in enumerate(leads)]
+    found = [1] * g.n
+    for c, edges in edges_of.items():
+        q = c ** levels[c][-1]
+        idem = M // q * pow(M // q, -1, q)
+        reached, below = None, 0
+        for t in levels[c]:
+            step, below = c ** (t - below), t
+            adj: dict[int, list[int]] = {}
+            for u, w, v in edges:
+                if v >= t:
+                    adj.setdefault(u, []).append(w)
+                    adj.setdefault(w, []).append(u)
+            parent: dict[int, int] = {}
+            low: dict[int, int] = {}
+            members: dict[int, list[int]] = {}
+            now = set()
+            for k in sorted(adj, reverse=True):
+                root = parent[k] = k
+                low[k] = min(adj[k])
+                members[k] = [k]
+                for w in adj[k]:
+                    if w < k:
+                        continue
+                    while parent[w] != w:
+                        parent[w] = w = parent[parent[w]]
+                    if w == root:
+                        continue
+                    if len(members[w]) > len(members[root]):
+                        root, w = w, root
+                    parent[w] = root
+                    members[root] += members.pop(w)
+                    low[root] = min(low[root], low.pop(w))
+                if low[root] < k:
+                    now.add(k)
+                    found[k] *= step
+                elif reached is None or k in reached:
+                    s = leads[k] * idem % M
+                    row = rows[k]
+                    for j in members[root]:
+                        if j != k:
+                            row[j] = (row.get(j, 0) + s) % M
+            reached = now
+    if found != leads:
+        raise InternalConsistencyError(
+            "flow-up diagonal does not reproduce the leading values"
+        )
+    return rows, M
+
+
+def localised_flowup_basis(g: LabeledGraph) -> list[list[int]]:
+    """Flow-up basis of the integer spline lattice from rows localised at
+    a coprime base of the labels.
+
+    Reference for ``basis.flowup_basis``, the way it was computed before
+    the rows were read off the path closure's reach map: a coprime base by
+    factor refinement, then one union-find sweep per base element and
+    valuation (``_closed_form_rows``), and one dense reduction.
+    """
+    if g.domain is not ZZ:
+        raise ValueError("the flow-up oracle works over the integer domain only")
+    rows, _ = _closed_form_rows(g, leading_values(g))
+    basis = [[row.get(j, 0) for j in range(g.n)] for row in rows]
+    _reduce_above_diagonal(basis)
     return basis
 
 

@@ -11,8 +11,10 @@ import helpers
 from graphsplines import basis as basis_mod
 from graphsplines import (
     DisconnectedGraphError,
+    Edge,
     InternalConsistencyError,
     IntPoly,
+    LabeledGraph,
     ZZ,
     ZZX,
     check_basis,
@@ -312,10 +314,23 @@ class TestFlowupBasis:
             assert all(0 <= v < leads[j] for j, v in enumerate(row) if j > k)
             assert is_spline(g, row)
 
-    def test_diagonal_checked_against_the_leading_values(self, diamond, monkeypatch):
-        monkeypatch.setattr(basis_mod, "leading_values", lambda g: [1] * g.n)
-        with pytest.raises(InternalConsistencyError, match="diagonal"):
+    def test_corrupted_closure_trips_the_edge_check(self, diamond, monkeypatch):
+        # A closure that loses its reach map leaves row 0 as (1, 0, 0, 0),
+        # which fails the edge 0-1 (label 5) before any reduction.
+        closure = basis_mod.path_closure
+        monkeypatch.setattr(basis_mod, "path_closure",
+                            lambda g, i, lead=None: (closure(g, i, lead)[0], {}))
+        with pytest.raises(InternalConsistencyError, match="row 0 fails the edge 0-1"):
             flowup_basis(diamond)
+
+    def test_huge_prime_power_labels(self):
+        # Labels 2^e * 3^5, five times that, and 6 on a triangle: M has a
+        # 300000-bit power of two, Q is found by exponent doubling in a few
+        # gcds, and no entry takes a remainder modulo M.
+        x = 2 ** 300000 * 3 ** 5
+        g = LabeledGraph(ZZ, ["a", "b", "c"],
+                         [Edge(0, 0, 1, x), Edge(1, 1, 2, 5 * x), Edge(2, 0, 2, 6)])
+        assert flowup_basis(g) == helpers.modular_flowup_basis(g)
 
     def test_wall_n64_m128(self):
         g = helpers.random_sparse_graph(random.Random(64128), 64, 128)
@@ -444,25 +459,28 @@ def local_graphs(draw):
 
 
 class TestLocalisation:
-    """The closed-form rows against the kernel construction and the
-    modular Hermite elimination in ``helpers``, and the coprime base they
-    are localised at."""
+    """The rows read off the path closure against the kernel construction,
+    the modular Hermite elimination and the coprime-base localisation in
+    ``helpers``, and the coprime base of the last."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(local_graphs())
-    def test_matches_both_oracles(self, g):
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(int_graphs(), local_graphs()))
+    def test_matches_the_three_oracles(self, g):
+        oracles = (helpers.modular_flowup_basis, helpers.kernel_flowup_basis,
+                   helpers.localised_flowup_basis)
         try:
-            want = helpers.modular_flowup_basis(g)
+            want = flowup_basis(g)
         except DisconnectedGraphError:
-            for build in (flowup_basis, helpers.kernel_flowup_basis):
+            for build in oracles:
                 with pytest.raises(DisconnectedGraphError):
                     build(g)
             return
-        assert flowup_basis(g) == want == helpers.kernel_flowup_basis(g)
+        for build in oracles:
+            assert build(g) == want
 
     @given(st.lists(st.one_of(LOCAL_LABELS, LABELS), max_size=12))
     def test_coprime_base(self, labels):
-        base = basis_mod._coprime_base({abs(x) for x in labels})
+        base = helpers._coprime_base({abs(x) for x in labels})
         assert all(c > 1 for c in base)
         assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
         for x in labels:
@@ -480,7 +498,7 @@ class TestLocalisation:
         ([2 ** 200 * 3 ** 5, 6], {2, 3}),
     ])
     def test_coprime_base_examples(self, labels, want):
-        assert set(basis_mod._coprime_base(labels)) == want
+        assert set(helpers._coprime_base(labels)) == want
 
 
 class TestSpanCoordinates:

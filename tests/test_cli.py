@@ -305,6 +305,22 @@ class TestTrails:
         assert ("error: vertex v3 has more than 1 zero trails; "
                 "raise the cap to continue") in err
 
+    @pytest.mark.parametrize("command", ["trails", "selections"])
+    def test_complete_graph_cap_checked_before_the_walk(self, capsys, tmp_path,
+                                                        monkeypatch, command):
+        # K13 has about 1.1e8 zero trails at v2; the cap stops the command
+        # before the walk takes a step.
+        path = doc_path(tmp_path, distinct_complete_doc(13))
+
+        def refuse(g, v):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(graphs.LabeledGraph, "neighbors", refuse)
+        code, out, err = run(capsys, command, "--graph", path, "--vertex", "2")
+        assert code == 2 and out == ""
+        assert err == ("error: vertex v2 has more than 1000000 zero trails; "
+                       "raise the cap to continue\n")
+
     def test_cycle_1500_beyond_the_recursion_limit(self, capsys, tmp_path):
         code, out, _ = run(capsys, "trails", "--graph",
                            doc_path(tmp_path, cycle_doc(1500, 3)),

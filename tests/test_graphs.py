@@ -50,6 +50,15 @@ class TestLoadGraph:
         with pytest.raises(GraphDocumentError, match="unknown domain"):
             load_graph({"domain": "rational", "vertices": ["a"], "edges": []})
 
+    @pytest.mark.parametrize("key", ["domain", "vertices", "edges"])
+    def test_missing_key_rejected(self, key):
+        doc = {"domain": "int", "vertices": ["a", "b"],
+               "edges": [{"u": "a", "v": "b", "label": "2"}]}
+        del doc[key]
+        with pytest.raises(GraphDocumentError,
+                           match=f"^graph document is missing key '{key}'$"):
+            load_graph(doc)
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(GraphDocumentError, match="distinct"):
             load_graph({"domain": "int", "vertices": ["a", "a"], "edges": []})
@@ -177,6 +186,19 @@ class TestZeroTrails:
                     graphs.check_completion_trail_cap(g, i, count - 1)
                 with pytest.raises(TrailLimitError, match=f"more than {count - 1} zero"):
                     zero_trails(k, i, count - 1)
+
+    def test_complete_graph_cap_checked_before_the_walk(self, monkeypatch):
+        # K13 has about 1.1e8 zero trails at its second vertex: the count on
+        # a complete graph is known, so the cap stops the call before any
+        # step.
+        g = completion(helpers.make_graph("int", [f"v{k}" for k in range(13)], []))
+
+        def refuse(v):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(g, "neighbors", refuse)
+        with pytest.raises(TrailLimitError, match="^vertex v1 has more than 1000000 zero"):
+            zero_trails(g, 1)
 
     def test_antichain(self, k5):
         for i in range(1, k5.n):
