@@ -86,10 +86,10 @@ def spline_matrix(g: LabeledGraph, splines: Sequence[Sequence]) -> list[list]:
 def _fraction_free_eliminate(d: Domain, m: list[list], width: int) -> int:
     """Bareiss elimination of ``m`` in place on its first ``width`` columns.
 
-    Afterwards row k holds the pivot of column k with zeros below it; all
-    columns are updated and every interior division is exact.  Returns the
-    sign of the row swaps, or 0 when one of those columns has no pivot,
-    that is when they are linearly dependent.
+    Afterwards row k holds the pivot of column k and the updated entries
+    right of it, every interior division exact; the entries below the
+    pivots are not cleared, since no caller reads them.  Returns the sign
+    of the row swaps, or 0 when those columns are linearly dependent.
     """
     rows = len(m)
     if width > rows:
@@ -108,9 +108,8 @@ def _fraction_free_eliminate(d: Domain, m: list[list], width: int) -> int:
         pivot = m[k][k]
         for r in range(k + 1, rows):
             for c in range(k + 1, len(m[r])):
-                num = d.sub(d.mul(m[r][c], pivot), d.mul(m[r][k], m[k][c]))
+                num = d.mul(m[r][c], pivot) - d.mul(m[r][k], m[k][c])
                 m[r][c] = d.exact_div(num, prev)
-            m[r][k] = d.zero
         prev = pivot
     return sign
 
@@ -166,7 +165,7 @@ def determinant(d: Domain, rows: list[list]):
     if not sign:
         return d.zero
     det = m[-1][-1] if m else d.one
-    return det if sign > 0 else d.neg(det)
+    return det if sign > 0 else -det
 
 
 def _require_splines(g: LabeledGraph, splines: Sequence[Sequence]) -> None:
@@ -223,7 +222,7 @@ def flowup_basis(g: LabeledGraph) -> list[list[int]]:
     rows: list[dict[int, int]] = []
     cols: list[set[int]] = [set() for _ in range(g.n)]
     for k in range(g.n):
-        lead, reach = path_closure(g, k, 1 if k == 0 else None)
+        lead, reach = path_closure(g, k)
         row = {k: lead}
         for v, x in reach.items():
             u = x // math.gcd(x, lead)

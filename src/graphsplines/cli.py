@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
     d = g.domain
     violation = splines.first_violation(g, values)
     last = g.m if violation is None else violation.index + 1
-    checked = [(e, d.sub(values[e.u], values[e.v]), e is not violation)
+    checked = [(e, values[e.u] - values[e.v], e is not violation)
                for e in g.edges[:last]]
     if args.format == "json":
         _emit_json({
@@ -327,17 +327,18 @@ def _cmd_check_basis(args) -> int:
 
 def _cmd_flowup(args) -> int:
     g = _load_graph(args.graph)
-    rows = basis_mod.flowup_basis(g)
     d = g.domain
+    rows = [[d.format(v) for v in row] for row in basis_mod.flowup_basis(g)]
+    diagonal = [row[k] for k, row in enumerate(rows)]
     if args.format == "json":
         _emit_json({
-            "diagonal": [d.format(rows[k][k]) for k in range(g.n)],
-            "splines": [{"values": [d.format(v) for v in row]} for row in rows],
+            "diagonal": diagonal,
+            "splines": [{"values": row} for row in rows],
         })
     else:
-        print("diagonal: " + " ".join(d.format(rows[k][k]) for k in range(g.n)))
+        print("diagonal: " + " ".join(diagonal))
         for k, row in enumerate(rows, start=1):
-            print(f"F{k}: " + " ".join(d.format(v) for v in row))
+            print(f"F{k}: " + " ".join(row))
     return 0
 
 
@@ -402,8 +403,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError, RuntimeError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

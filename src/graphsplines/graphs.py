@@ -46,20 +46,22 @@ class Trail:
 
 
 class LabeledGraph:
-    """Simple graph with ordered vertices and nonzero edge labels."""
+    """Simple graph with ordered vertices and nonzero edge labels.  Edge k
+    is ``edges[k]`` (ValueError otherwise), so adjacency is in index order."""
 
     def __init__(self, domain: Domain, vertex_names: Sequence[str], edges: Sequence[Edge]):
         self.domain = domain
         self.vertex_names = tuple(vertex_names)
         self.edges = tuple(edges)
-        adjacency: dict[int, list[tuple[int, int]]] = {k: [] for k in range(len(self.vertex_names))}
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.vertex_names]
         pair_index: dict[tuple[int, int], int] = {}
-        for e in self.edges:
+        for pos, e in enumerate(self.edges):
+            if e.index != pos:
+                raise ValueError(f"edge #{pos} has index {e.index}; "
+                                 "an edge's index must be its position")
             adjacency[e.u].append((e.index, e.v))
             adjacency[e.v].append((e.index, e.u))
             pair_index[(e.u, e.v)] = e.index
-        for lst in adjacency.values():
-            lst.sort()
         self._adjacency = adjacency
         self._pair_index = pair_index
 

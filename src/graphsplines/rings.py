@@ -226,27 +226,21 @@ def _quotient(a, b):
 
 
 class Domain:
-    """Arithmetic of one GCD domain; values are opaque to callers.
+    """Arithmetic of one GCD domain.
 
-    Elements of both domains support ``+``, ``-`` and ``*``, so the ring
-    operations live here; subclasses supply parsing, text, canonical
-    associates, gcd, lcm and exact division.  Collections fold pairwise
-    with canonicalization after each step, so set-wise gcd and lcm are
-    order-independent up to the canonical associate.
+    Elements support ``+``, ``-`` and ``*``; callers subtract with the
+    operator, and multiply and fold through these methods, which a
+    profiler can wrap by name.  Subclasses supply parsing, text, canonical
+    associates, gcd, lcm and exact division.  Folds canonicalize after
+    each step, so set-wise gcd and lcm are order-independent.
     """
 
     name = "?"
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
-    def gcd_all(self, items) :
+    def gcd_all(self, items):
         out = self.zero
         for a in items:
             out = self.gcd(out, a)

@@ -47,7 +47,7 @@ def first_violation(g: LabeledGraph, values: Sequence) -> Optional[Edge]:
     d = g.domain
     vals = [d.coerce(v) for v in values]
     for e in g.edges:
-        if not d.divides(e.label, d.sub(vals[e.u], vals[e.v])):
+        if not d.divides(e.label, vals[e.u] - vals[e.v]):
             return e
     return None
 
@@ -56,15 +56,15 @@ def is_spline(g: LabeledGraph, values: Sequence) -> bool:
     return first_violation(g, values) is None
 
 
-def path_closure(g: LabeledGraph, i: int, lead=None):
+def path_closure(g: LabeledGraph, i: int):
     """(lead, reach) for vertex ``i``: its leading value and its reach map.
 
     A path closure over the ``(lcm, gcd)`` semiring, without listing
     trails.  A worklist walks from ``i`` through vertices ``> i`` and
     keeps ``reach[v]``, the lcm of the gcds of the walks found so far from
     ``i`` to ``v`` (``reach[i]`` stays zero); an edge into an earlier
-    vertex folds the walk's gcd into the lead, which starts at ``lead``.
-    This is exact:
+    vertex folds the walk's gcd into the lead.  The first vertex, with no
+    earlier vertex, has lead one.  This is exact:
 
     * gcd distributes over lcm in a GCD domain, so relaxing ``reach[v]``
       as a whole equals relaxing each walk into ``v`` on its own;
@@ -83,6 +83,7 @@ def path_closure(g: LabeledGraph, i: int, lead=None):
     gcd and lcm operations.
     """
     d = g.domain
+    lead = d.one if i == 0 else None
     reach = {i: d.zero}
     work = [i]
     queued = {i}
@@ -219,9 +220,7 @@ class _VertexSelections:
         d = g.domain
         self.graph, self.vertex = g, i
         self.key: dict = {}
-        for e in g.edges:
-            self.key.setdefault(d.canonical(e.label), e.index)
-        self.edge_key = [self.key[d.canonical(e.label)] for e in g.edges]
+        self.edge_key = [self.key.setdefault(d.canonical(e.label), e.index) for e in g.edges]
         self.trails = tuple(
             t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
         )

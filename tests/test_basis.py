@@ -99,7 +99,7 @@ def eliminated_determinant(d, rows):
     if not sign:
         return d.zero
     det = m[-1][-1] if m else d.one
-    return det if sign > 0 else d.neg(det)
+    return det if sign > 0 else -det
 
 
 # 10^5000 has more digits than the default int/str limit allows to print.
@@ -319,7 +319,7 @@ class TestFlowupBasis:
         # which fails the edge 0-1 (label 5) before any reduction.
         closure = basis_mod.path_closure
         monkeypatch.setattr(basis_mod, "path_closure",
-                            lambda g, i, lead=None: (closure(g, i, lead)[0], {}))
+                            lambda g, i: (closure(g, i)[0], {}))
         with pytest.raises(InternalConsistencyError, match="row 0 fails the edge 0-1"):
             flowup_basis(diamond)
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import helpers
 from graphsplines import cli, flowup_basis, graphs, splines, top_spline
 from graphsplines.cli import main
-from graphsplines.rings import MAX_DEGREE
+from graphsplines.rings import MAX_DEGREE, ZZ
 
 DIAMOND_DOC = helpers.graph_doc("int", ["v1", "v2", "v3", "v4"], [
     ("v1", "v2", 5), ("v1", "v3", 4), ("v1", "v4", 6),
@@ -469,6 +469,22 @@ class TestFlowup:
         doc = json.loads(out)
         assert doc["diagonal"] == ["1", "30", "4", "18"]
         assert len(doc["splines"]) == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_each_entry_formatted_once(self, capsys, monkeypatch, diamond_path, fmt):
+        # n^2 entries, the diagonal taken from the row texts; formatting it
+        # again makes n^2 + n.  Patched on the class, since an attribute
+        # set on the instance would outlive the test.
+        calls = []
+        format_int = type(ZZ).format
+        monkeypatch.setattr(type(ZZ), "format",
+                            lambda self, a: calls.append(a) or format_int(self, a))
+        code, out, _ = run(capsys, "flowup", "--graph", diamond_path, "--format", fmt)
+        assert code == 0 and len(calls) == 4 * 4
+        if fmt == "json":
+            assert json.loads(out)["diagonal"] == ["1", "30", "4", "18"]
+        else:
+            assert out.startswith("diagonal: 1 30 4 18\n")
 
     def test_polynomial_domain_exits_2(self, capsys, poly_path):
         code, _, err = run(capsys, "flowup", "--graph", poly_path)

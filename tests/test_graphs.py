@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,7 +8,10 @@ import helpers
 from helpers import enumerate_trails, permute_vertices
 from graphsplines import graphs
 from graphsplines import (
+    ZZ,
+    Edge,
     GraphDocumentError,
+    LabeledGraph,
     TrailLimitError,
     completion,
     load_graph,
@@ -71,6 +75,35 @@ class TestLoadGraph:
     def test_degree_cap_rejected(self):
         with pytest.raises(GraphDocumentError, match="exponent 20000 "):
             helpers.make_graph("intpoly", ["a", "b"], [("a", "b", "x^20000")])
+
+
+class TestEdgeIndices:
+    @pytest.mark.parametrize("indices, message", [
+        ((1, 0), "edge #0 has index 1"),
+        ((0, 2), "edge #1 has index 2"),
+        ((0, 0), "edge #1 has index 0"),
+    ])
+    def test_index_must_be_the_position(self, indices, message):
+        edges = [Edge(k, u, v, 2) for k, (u, v) in zip(indices, [(0, 1), (1, 2)])]
+        with pytest.raises(ValueError, match=message):
+            LabeledGraph(ZZ, ["a", "b", "c"], edges)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_neighbors_in_edge_index_order(self, seed):
+        # Edges listed in shuffled document order, each written high vertex
+        # first, so neither endpoint order sorts the adjacency by index.
+        rng = random.Random(seed)
+        names = [f"v{k}" for k in range(8)]
+        pairs = [p for p in itertools.combinations(range(8), 2) if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        g = helpers.make_graph("int", names, [
+            (names[v], names[u], rng.randint(1, 30)) for u, v in pairs
+        ])
+        perm = rng.sample(range(8), 8)
+        for h in (g, completion(g), permute_vertices(g, perm)):
+            for v in range(h.n):
+                assert h.neighbors(v) == [(e.index, e.u + e.v - v) for e in h.edges
+                                          if v in (e.u, e.v)]
 
 
 class TestCompletion:

@@ -31,6 +31,7 @@ from graphsplines import (
     top_spline,
     zero_trails,
 )
+from graphsplines.splines import path_closure
 
 L4, L5 = helpers.K4_LABELS, helpers.K5_LABELS
 
@@ -61,6 +62,10 @@ class TestLeadingValues:
 
     def test_first_vertex_is_one(self, k5):
         assert leading_value(k5, 0) == 1
+
+    def test_closure_from_the_first_vertex_starts_at_one(self, k5, poly_cycle):
+        for g in (k5, poly_cycle):
+            assert path_closure(g, 0)[0] == g.domain.one
 
     def test_target_diamond(self, diamond):
         assert determinant_target(diamond) == 2160
