@@ -38,11 +38,12 @@ u = reach_k[v] / gcd(reach_k[v], lead_k): gcd(M, u), with its exponents
 doubled by gcds with the rest of M until none is left, so nothing is
 factored.  With E_Q = (M / Q) * r, r the inverse of M / Q modulo Q, the
 entry is (M / Q) * (lead_k * r mod Q): no remainder modulo M, which
-would cost a quadratic division on labels of a million bits.  A walk the closure drops has a gcd dividing lead_k, so it
-cannot change a row.  These rows are triangular with the least possible
-diagonal, hence a basis; reducing every entry right of the diagonal into
-[0, lead_j), column by column, gives the Hermite form, which is unique.
-No entry exceeds M.
+would cost a quadratic division on labels of a million bits.  A walk the
+closure drops has a gcd dividing lead_k, so it cannot change a row.
+These rows are triangular with the least possible diagonal, hence a
+basis; reducing every entry right of the diagonal into [0, lead_j),
+column by column, gives the Hermite form, which is unique.  No entry
+exceeds M.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ so that no returned trail's edge set strictly contains another's.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,16 +53,13 @@ class LabeledGraph:
         self.vertex_names = tuple(vertex_names)
         self.edges = tuple(edges)
         adjacency: list[list[tuple[int, int]]] = [[] for _ in self.vertex_names]
-        pair_index: dict[tuple[int, int], int] = {}
         for pos, e in enumerate(self.edges):
             if e.index != pos:
                 raise ValueError(f"edge #{pos} has index {e.index}; "
                                  "an edge's index must be its position")
             adjacency[e.u].append((e.index, e.v))
             adjacency[e.v].append((e.index, e.u))
-            pair_index[(e.u, e.v)] = e.index
         self._adjacency = adjacency
-        self._pair_index = pair_index
 
     @property
     def n(self) -> int:
@@ -78,9 +74,8 @@ class LabeledGraph:
         return self._adjacency[v]
 
     def edge_index_between(self, u: int, v: int):
-        if u > v:
-            u, v = v, u
-        return self._pair_index.get((u, v))
+        """Index of the edge u-v, or None: a scan of u's adjacency, O(degree)."""
+        return next((index for index, w in self._adjacency[u] if w == v), None)
 
     @property
     def is_complete(self) -> bool:
@@ -165,11 +160,11 @@ def completion(g: LabeledGraph) -> LabeledGraph:
     unit edges sort after them in every enumeration.
     """
     edges = list(g.edges)
-    next_index = len(edges)
-    for u, v in itertools.combinations(range(g.n), 2):
-        if g.edge_index_between(u, v) is None:
-            edges.append(Edge(next_index, u, v, g.domain.one))
-            next_index += 1
+    for u in range(g.n):
+        adjacent = {w for _, w in g.neighbors(u)}
+        for v in range(u + 1, g.n):
+            if v not in adjacent:
+                edges.append(Edge(len(edges), u, v, g.domain.one))
     return LabeledGraph(g.domain, g.vertex_names, edges)
 
 

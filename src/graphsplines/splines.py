@@ -390,10 +390,12 @@ def single_vertex_spline(g: LabeledGraph, a: Selection) -> list:
 def selection_spline(k: LabeledGraph, a: Selection) -> list:
     """Two-valued spline on a complete graph built from a selection.
 
-    With i the selection's vertex and X its value: vertex i gets X; every
-    later vertex whose edge to i is outside the selection subgraph gets X;
-    a later vertex whose edge to i is inside gets zero when its edges to
-    all of the X-forced vertices are inside, else X; earlier vertices get
+    With i the selection's vertex and X its value, the selection subgraph
+    is read as neighbour sets: ``inside[v]`` holds v's neighbours across
+    an edge in ``a.h_edges``, and ``forced`` the later vertices outside
+    ``inside[i]``.  Vertex i gets X; a later vertex gets zero when
+    ``forced`` is a subset of its ``inside`` set, else X, so each vertex
+    of ``forced``, not its own neighbour, gets X; earlier vertices get
     zero.  The output is checked and a violation raises, which happens
     only outside the construction's guarantees (equal labels on distinct
     edges, or a label set that is not inclusion-minimal).
@@ -401,11 +403,11 @@ def selection_spline(k: LabeledGraph, a: Selection) -> list:
     Zero set.  For an inclusion-minimal selection with pairwise-distinct
     labels, let I be the later vertices s whose edge i-s lies in the
     selection subgraph.  The output is zero exactly on {0..i-1} and I, and
-    X everywhere else: every vertex of I has all its edges to the X-forced
-    vertices inside, so the rule above always sends it to zero.  Proof
+    X everywhere else: ``forced`` lies in the ``inside`` set of every
+    vertex of I, so the rule above always sends it to zero.  Proof
     sketch: by minimality the label of i-s is the only selected label on
     some long zero trail i->s->P, so P avoids the selection subgraph.  For
-    an X-forced vertex t, P cannot pass through t, or the zero trail
+    a vertex t of ``forced``, P cannot pass through t, or the zero trail
     i->t->(rest of P) would be missed by the selection.  So i->t->s->P is
     a long zero trail whose only edge that can be selected is t-s, hence
     t-s is inside.
@@ -435,20 +437,12 @@ def selection_spline(k: LabeledGraph, a: Selection) -> list:
                          else "the selection construction needs at least 3 vertices")
     d = k.domain
     x = a.value
+    inside = [{w for e, w in k.neighbors(v) if e in a.h_edges} for v in range(k.n)]
+    forced = set(range(i + 1, k.n)) - inside[i]
     values = [d.zero] * k.n
     values[i] = x
-    outside = [
-        s for s in range(i + 1, k.n)
-        if k.edge_index_between(i, s) not in a.h_edges
-    ]
-    for s in outside:
-        values[s] = x
     for s in range(i + 1, k.n):
-        if s in outside:
-            continue
-        if all(k.edge_index_between(s, t) in a.h_edges for t in outside):
-            values[s] = d.zero
-        else:
+        if not forced <= inside[s]:
             values[s] = x
     return _check_output(k, values, "selection construction")
 

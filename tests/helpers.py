@@ -12,8 +12,10 @@ transform, the flow-up basis again by a Hermite elimination modulo the
 lcm of the labels, and a third time by localising at a coprime base of
 the labels.  ``ZZ[x]`` gcd, lcm and exact division go through
 a pseudo-remainder sequence that scales at every step and a long division
-on ``IntPoly`` values.  ``permute_vertices`` reorders a graph for the
-invariance tests.
+on ``IntPoly`` values.  The completion and the selection construction
+are re-derived from vertex-pair lookups built from the edge list.
+``permute_vertices`` reorders a graph for the invariance tests, and
+``reverse_endpoints`` writes edges high endpoint first.
 """
 
 import itertools
@@ -32,9 +34,10 @@ from graphsplines import (
     IntPoly,
     LabeledGraph,
     Selection,
+    SplineConstructionError,
     Trail,
     TrailLimitError,
-    completion,
+    first_violation,
     leading_values,
     load_graph,
     selection_from_labels,
@@ -93,6 +96,17 @@ def k5_distinct() -> LabeledGraph:
     return make_graph("int", [f"v{k}" for k in range(1, 6)], [
         (f"v{a}", f"v{b}", K5_LABELS[j])
         for j, (a, b) in enumerate(K5_PAIRS, start=1)
+    ])
+
+
+def repeated_label_k5() -> LabeledGraph:
+    """K5 with labels 2, 3 and 5 each on two edges; the minimal selection
+    {2, 3, 5} at v2 defeats the two-valued construction."""
+    return make_graph("int", ["v1", "v2", "v3", "v4", "v5"], [
+        ("v2", "v1", 23), ("v2", "v3", 2), ("v2", "v4", 3),
+        ("v2", "v5", 7), ("v3", "v1", 2), ("v3", "v4", 13),
+        ("v3", "v5", 11), ("v4", "v1", 3), ("v4", "v5", 5),
+        ("v5", "v1", 5),
     ])
 
 
@@ -197,6 +211,45 @@ def permute_vertices(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
             u, v = v, u
         edges.append(Edge(e.index, u, v, e.label))
     return LabeledGraph(g.domain, names, edges)
+
+
+def reverse_endpoints(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
+    """The same graph with a random half of its edges written high
+    endpoint first, which ``load_graph`` never produces."""
+    return LabeledGraph(g.domain, g.vertex_names, [
+        Edge(e.index, e.v, e.u, e.label) if rng.random() < 0.5 else e for e in g.edges
+    ])
+
+
+def combinations_completion(g: LabeledGraph) -> LabeledGraph:
+    """``completion`` over ``itertools.combinations``, with the present
+    pairs read from ``g.edges`` rather than the adjacency lists."""
+    present = {(min(e.u, e.v), max(e.u, e.v)) for e in g.edges}
+    edges = list(g.edges)
+    for u, v in itertools.combinations(range(g.n), 2):
+        if (u, v) not in present:
+            edges.append(Edge(len(edges), u, v, g.domain.one))
+    return LabeledGraph(g.domain, g.vertex_names, edges)
+
+
+def pair_lookup_selection_spline(k: LabeledGraph, a: Selection) -> list:
+    """``selection_spline`` by edge lookups per vertex pair, in a dict
+    built from ``k.edges``: a later vertex whose edge to the target is not
+    selected gets X, and so does one with an unselected edge to such a
+    vertex.  Raises ``SplineConstructionError`` on a non-spline output."""
+    pair = {}
+    for e in k.edges:
+        pair[e.u, e.v] = pair[e.v, e.u] = e.index
+    i, x = a.vertex, a.value
+    values = [k.domain.zero] * k.n
+    values[i] = x
+    outside = [s for s in range(i + 1, k.n) if pair[i, s] not in a.h_edges]
+    for s in range(i + 1, k.n):
+        if s in outside or not all(pair[s, t] in a.h_edges for t in outside):
+            values[s] = x
+    if first_violation(k, values) is not None:
+        raise SplineConstructionError("selection construction failed the spline check")
+    return values
 
 
 def naive_cofactor_det(domain, rows):
@@ -490,10 +543,6 @@ def combine_columns(splines, coef, zero=0):
             for r in range(n)
         ])
     return out
-
-
-def completion_pair(g):
-    return g, completion(g)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -127,6 +127,30 @@ class TestCompletion:
         k = completion(g)
         assert k.is_complete and all(e.label == 1 for e in k.edges)
 
+    def test_edge_written_high_endpoint_first(self):
+        # b-a, c-b, c-a: every edge written high endpoint first.  Pair
+        # lookups read the adjacency lists, so endpoint order cannot hide
+        # an edge and the completion adds nothing.
+        g = LabeledGraph(ZZ, ["a", "b", "c"],
+                         [Edge(0, 1, 0, 2), Edge(1, 2, 1, 3), Edge(2, 2, 0, 5)])
+        assert g.edge_index_between(0, 1) == g.edge_index_between(1, 0) == 0
+        assert g.edge_index_between(1, 2) == g.edge_index_between(2, 1) == 1
+        k = completion(g)
+        assert k.m == 3 and k.is_complete
+        assert k == g
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_combinations_oracle(self, seed):
+        rng = random.Random(seed)
+        for _ in range(6):
+            n = rng.randint(2, 9)
+            g = helpers.random_connected_graph(rng, n, extra_edge_p=rng.random())
+            for h in (g, helpers.reverse_endpoints(g, rng)):
+                pair = {frozenset((e.u, e.v)): e.index for e in h.edges}
+                for u, v in itertools.permutations(range(n), 2):
+                    assert h.edge_index_between(u, v) == pair.get(frozenset((u, v)))
+                assert completion(h) == helpers.combinations_completion(h)
+
 
 class TestEnumerateTrails:
     def test_path_graph(self):

@@ -538,12 +538,7 @@ class TestSelectionSpline:
     def test_repeated_labels_can_defeat_construction(self):
         # equal labels on distinct edges break the subgraph reasoning the
         # construction relies on; the self-check must catch it
-        g = helpers.make_graph("int", ["v1", "v2", "v3", "v4", "v5"], [
-            ("v2", "v1", 23), ("v2", "v3", 2), ("v2", "v4", 3),
-            ("v2", "v5", 7), ("v3", "v1", 2), ("v3", "v4", 13),
-            ("v3", "v5", 11), ("v4", "v1", 3), ("v4", "v5", 5),
-            ("v5", "v1", 5),
-        ])
+        g = helpers.repeated_label_k5()
         bad = next(s for s in minimal_selections(g, 1)
                    if frozenset(s.labels) == frozenset({2, 3, 5}))
         with pytest.raises(SplineConstructionError):
@@ -569,6 +564,42 @@ class TestSelectionSpline:
                 assert all(values[v] == 0 for v in range(n) if v not in side)
                 sides.add(frozenset(side))
             assert len(sides) == 2 ** (n - 1 - i)
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_matches_pair_lookup_oracle(self, distinct):
+        # Every valid vertex, every minimal selection and a few supersets,
+        # on complete graphs as loaded and with endpoints reversed; with
+        # repeated labels the construction may fail its self-check, and
+        # then the oracle must fail too.
+        def outcome(construct, k, s):
+            try:
+                return construct(k, s)
+            except SplineConstructionError:
+                return SplineConstructionError
+
+        rng = random.Random(1800 + distinct)
+        graphs = [helpers.random_complete_graph(rng, rng.randint(3, 6), max_label=8,
+                                                distinct=distinct) for _ in range(30)]
+        if not distinct:
+            graphs.append(helpers.repeated_label_k5())
+        seen = set()
+        for g in graphs:
+            for k in (g, helpers.reverse_endpoints(g, rng)):
+                labels = sorted({e.label for e in k.edges})
+                for i in range(1, g.n - 1):
+                    sels = minimal_selections(k, i)
+                    for s in rng.sample(sels, min(3, len(sels))):
+                        extra = rng.sample(labels, min(3, len(labels)))
+                        try:
+                            sels.append(selection_from_labels(k, i, (*s.labels, *extra)))
+                        except ValueError:
+                            pass
+                    for s in sels:
+                        got = outcome(selection_spline, k, s)
+                        assert got == outcome(helpers.pair_lookup_selection_spline, k, s)
+                        seen.add("raise" if got is SplineConstructionError
+                                 else "zero" if 0 in got[i + 1:] else "all X")
+        assert seen >= ({"zero", "all X"} if distinct else {"zero", "all X", "raise"})
 
     def test_non_complete_rejected(self, diamond):
         s = minimal_selections(diamond, 1)[0]
