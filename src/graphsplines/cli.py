@@ -63,10 +63,10 @@ def _dumps(doc) -> list[str]:
     whole; the standard library's encoder runs in pure Python whenever
     ``indent`` is set (before Python 3.13).  The commands share edge,
     path and choice objects between the places they appear, so the text
-    of a small container is kept by identity and depth and reused.  The
-    identities are stable because ``doc`` holds every node until the
-    pieces are built.  Large texts are not kept, so what is kept is at
-    most about the size of the output.
+    of a container of few pieces is kept by identity and depth, replaces
+    those pieces in the output and is reused.  The identities are stable
+    because ``doc`` holds every node until the pieces are built.  A kept
+    text copies its children's kept texts, which stay kept too.
     """
     texts = {}
     out = []
@@ -106,10 +106,8 @@ def _dumps(doc) -> list[str]:
                 append(newline + "]")
             # An edge, a path or a choice; not a selection or a document.
             if len(out) - start <= 64:
-                text = "".join(out[start:])
-                if len(text) <= 1024:
-                    texts[key] = text
-                    out[start:] = [text]
+                text = texts[key] = "".join(out[start:])
+                out[start:] = [text]
         elif kind is bool or obj is None:
             append(_LITERALS[obj])
         else:
@@ -138,9 +136,10 @@ def _vertex_index(g: graphs.LabeledGraph, vertex: int, what: str, after: int) ->
     return vertex - 1
 
 
-def _edge_obj(g: graphs.LabeledGraph, e: graphs.Edge) -> dict:
+def _edge_obj(g: graphs.LabeledGraph, k: int) -> dict:
+    e = g.edges[k]
     return {
-        "index": e.index,
+        "index": k,
         "u": g.vertex_names[e.u],
         "v": g.vertex_names[e.v],
         "label": g.domain.format(e.label),
@@ -149,7 +148,7 @@ def _edge_obj(g: graphs.LabeledGraph, e: graphs.Edge) -> dict:
 
 def _edge_objs(g: graphs.LabeledGraph) -> list[dict]:
     """One edge object per graph edge, by index, for a command to share."""
-    return [_edge_obj(g, e) for e in g.edges]
+    return [_edge_obj(g, k) for k in range(g.m)]
 
 
 def _edge_name(g: graphs.LabeledGraph, e: graphs.Edge) -> str:
@@ -161,15 +160,15 @@ def _cmd_verify(args) -> int:
     values = _load_spline(args.spline, g)
     d = g.domain
     violation = splines.first_violation(g, values)
-    last = g.m if violation is None else violation.index + 1
+    last = g.m if violation is None else g.edges.index(violation) + 1
     checked = [(e, values[e.u] - values[e.v], e is not violation)
                for e in g.edges[:last]]
     if args.format == "json":
         _emit_json({
             "is_spline": violation is None,
             "edges": [
-                {**_edge_obj(g, e), "difference": d.format(diff), "ok": ok}
-                for e, diff, ok in checked
+                {**_edge_obj(g, k), "difference": d.format(diff), "ok": ok}
+                for k, (e, diff, ok) in enumerate(checked)
             ],
         })
     else:
@@ -289,7 +288,7 @@ def _cmd_construct(args) -> int:
     graphs.check_completion_trail_cap(g, i, args.max_trails)
     k = graphs.completion(g)
     sel = splines.minimal_selection(k, i, args.selection, args.max_trails)
-    values = splines.selection_spline(k, sel)
+    values = splines.selection_spline(sel)
     d = k.domain
     labels = ", ".join(d.format(lab) for lab in sel.labels)
     print(f"note: selection {args.selection} uses labels {{{labels}}}, "

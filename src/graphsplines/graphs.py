@@ -1,7 +1,8 @@
 """Edge-labeled graphs with a fixed vertex order, plus trail machinery.
 
 A graph document fixes the vertex order; indices in this module are
-0-based positions in that order.  Edges keep their document order, which
+0-based positions in that order.  Edges keep their document order, and
+an edge's index is its position in ``LabeledGraph.edges``; that order
 drives every deterministic enumeration below.
 
 A trail is a walk that repeats no edge; vertices may repeat.  The zero
@@ -29,7 +30,8 @@ class TrailLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Edge:
-    index: int
+    """An edge u-v; its index is its position in ``LabeledGraph.edges``."""
+
     u: int
     v: int
     label: object
@@ -46,19 +48,16 @@ class Trail:
 
 class LabeledGraph:
     """Simple graph with ordered vertices and nonzero edge labels.  Edge k
-    is ``edges[k]`` (ValueError otherwise), so adjacency is in index order."""
+    is ``edges[k]``, so adjacency is in index order."""
 
     def __init__(self, domain: Domain, vertex_names: Sequence[str], edges: Sequence[Edge]):
         self.domain = domain
         self.vertex_names = tuple(vertex_names)
         self.edges = tuple(edges)
         adjacency: list[list[tuple[int, int]]] = [[] for _ in self.vertex_names]
-        for pos, e in enumerate(self.edges):
-            if e.index != pos:
-                raise ValueError(f"edge #{pos} has index {e.index}; "
-                                 "an edge's index must be its position")
-            adjacency[e.u].append((e.index, e.v))
-            adjacency[e.v].append((e.index, e.u))
+        for k, e in enumerate(self.edges):
+            adjacency[e.u].append((k, e.v))
+            adjacency[e.v].append((k, e.u))
         self._adjacency = adjacency
 
     @property
@@ -72,10 +71,6 @@ class LabeledGraph:
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """(edge index, other endpoint) pairs in edge-index order."""
         return self._adjacency[v]
-
-    def edge_index_between(self, u: int, v: int):
-        """Index of the edge u-v, or None: a scan of u's adjacency, O(degree)."""
-        return next((index for index, w in self._adjacency[u] if w == v), None)
 
     @property
     def is_complete(self) -> bool:
@@ -149,7 +144,7 @@ def load_graph(document) -> LabeledGraph:
             raise GraphDocumentError(f"edge #{pos}: {exc}") from None
         if domain.is_zero(label):
             raise GraphDocumentError(f"edge #{pos} has a zero label")
-        edges.append(Edge(pos, u, v, label))
+        edges.append(Edge(u, v, label))
     return LabeledGraph(domain, vertices, edges)
 
 
@@ -164,7 +159,7 @@ def completion(g: LabeledGraph) -> LabeledGraph:
         adjacent = {w for _, w in g.neighbors(u)}
         for v in range(u + 1, g.n):
             if v not in adjacent:
-                edges.append(Edge(len(edges), u, v, g.domain.one))
+                edges.append(Edge(u, v, g.domain.one))
     return LabeledGraph(g.domain, g.vertex_names, edges)
 
 

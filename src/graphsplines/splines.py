@@ -220,7 +220,8 @@ class _VertexSelections:
         d = g.domain
         self.graph, self.vertex = g, i
         self.key: dict = {}
-        self.edge_key = [self.key.setdefault(d.canonical(e.label), e.index) for e in g.edges]
+        self.edge_key = [self.key.setdefault(d.canonical(e.label), k)
+                         for k, e in enumerate(g.edges)]
         self.trails = tuple(
             t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
         )
@@ -365,15 +366,14 @@ def _check_output(g: LabeledGraph, values: list, what: str) -> list:
     return values
 
 
-def single_vertex_spline(g: LabeledGraph, a: Selection) -> list:
-    """Spline supported on one vertex, when every incident label is chosen.
+def single_vertex_spline(a: Selection) -> list:
+    """Spline on ``a.graph`` supported on one vertex, when every incident label is chosen.
 
     Requires each edge at the selection's vertex to carry a label from the
     selection's label set; the value there is the selection value, zero
     elsewhere.
     """
-    if a.graph != g:
-        raise ValueError("selection was computed on a different graph")
+    g = a.graph
     d = g.domain
     i = a.vertex
     for k, w in g.neighbors(i):
@@ -387,8 +387,8 @@ def single_vertex_spline(g: LabeledGraph, a: Selection) -> list:
     return _check_output(g, values, "single-vertex construction")
 
 
-def selection_spline(k: LabeledGraph, a: Selection) -> list:
-    """Two-valued spline on a complete graph built from a selection.
+def selection_spline(a: Selection) -> list:
+    """Two-valued spline on the complete graph ``a.graph`` from selection ``a``.
 
     With i the selection's vertex and X its value, the selection subgraph
     is read as neighbour sets: ``inside[v]`` holds v's neighbours across
@@ -427,10 +427,9 @@ def selection_spline(k: LabeledGraph, a: Selection) -> list:
     vertices whose edge to i is not selected, and the spline is X
     exactly on S and zero elsewhere.
     """
+    k = a.graph
     if not k.is_complete:
         raise ValueError("the selection construction needs a complete graph")
-    if a.graph != k:
-        raise ValueError("selection was computed on a different graph")
     i = a.vertex
     if not 1 <= i <= k.n - 2:
         raise ValueError(f"construction applies to vertex indices 1..{k.n - 2}" if k.n > 2

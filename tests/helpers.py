@@ -14,8 +14,9 @@ the labels.  ``ZZ[x]`` gcd, lcm and exact division go through
 a pseudo-remainder sequence that scales at every step and a long division
 on ``IntPoly`` values.  The completion and the selection construction
 are re-derived from vertex-pair lookups built from the edge list.
-``permute_vertices`` reorders a graph for the invariance tests, and
-``reverse_endpoints`` writes edges high endpoint first.
+``permute_vertices`` reorders a graph for the invariance tests,
+``reverse_endpoints`` writes edges high endpoint first, and
+``edge_index_between`` finds the edge joining two vertices.
 """
 
 import itertools
@@ -209,7 +210,7 @@ def permute_vertices(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
         u, v = perm[e.u], perm[e.v]
         if u > v:
             u, v = v, u
-        edges.append(Edge(e.index, u, v, e.label))
+        edges.append(Edge(u, v, e.label))
     return LabeledGraph(g.domain, names, edges)
 
 
@@ -217,8 +218,13 @@ def reverse_endpoints(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
     """The same graph with a random half of its edges written high
     endpoint first, which ``load_graph`` never produces."""
     return LabeledGraph(g.domain, g.vertex_names, [
-        Edge(e.index, e.v, e.u, e.label) if rng.random() < 0.5 else e for e in g.edges
+        Edge(e.v, e.u, e.label) if rng.random() < 0.5 else e for e in g.edges
     ])
+
+
+def edge_index_between(g: LabeledGraph, u: int, v: int) -> Optional[int]:
+    """Index of the edge u-v, or None: a scan of u's adjacency, O(degree)."""
+    return next((k for k, w in g.neighbors(u) if w == v), None)
 
 
 def combinations_completion(g: LabeledGraph) -> LabeledGraph:
@@ -228,18 +234,19 @@ def combinations_completion(g: LabeledGraph) -> LabeledGraph:
     edges = list(g.edges)
     for u, v in itertools.combinations(range(g.n), 2):
         if (u, v) not in present:
-            edges.append(Edge(len(edges), u, v, g.domain.one))
+            edges.append(Edge(u, v, g.domain.one))
     return LabeledGraph(g.domain, g.vertex_names, edges)
 
 
-def pair_lookup_selection_spline(k: LabeledGraph, a: Selection) -> list:
+def pair_lookup_selection_spline(a: Selection) -> list:
     """``selection_spline`` by edge lookups per vertex pair, in a dict
-    built from ``k.edges``: a later vertex whose edge to the target is not
+    built from ``a.graph.edges``: a later vertex whose edge to the target is not
     selected gets X, and so does one with an unselected edge to such a
     vertex.  Raises ``SplineConstructionError`` on a non-spline output."""
+    k = a.graph
     pair = {}
-    for e in k.edges:
-        pair[e.u, e.v] = pair[e.v, e.u] = e.index
+    for index, e in enumerate(k.edges):
+        pair[e.u, e.v] = pair[e.v, e.u] = index
     i, x = a.vertex, a.value
     values = [k.domain.zero] * k.n
     values[i] = x
@@ -486,8 +493,8 @@ def hitting_set_selections(g: LabeledGraph, i: int) -> list[Selection]:
     """
     d = g.domain
     key: dict = {}
-    for e in g.edges:
-        key.setdefault(d.canonical(e.label), e.index)
+    for index, e in enumerate(g.edges):
+        key.setdefault(d.canonical(e.label), index)
     keysets = [
         tuple(sorted({key[d.canonical(g.edges[k].label)] for k in t.edges}))
         for t in zero_trails(g, i) if len(t.edges) > 1
@@ -627,10 +634,10 @@ def kernel_flowup_basis(g: LabeledGraph) -> list[list[int]]:
     # Kernel of [differences | -labels] picks out (values, slacks) with
     # value[u] - value[v] = label * slack on every edge.
     kt = [[0] * m for _ in range(n + m)]
-    for e in g.edges:
-        kt[e.u][e.index] = 1
-        kt[e.v][e.index] = -1
-        kt[n + e.index][e.index] = -e.label
+    for k, e in enumerate(g.edges):
+        kt[e.u][k] = 1
+        kt[e.v][k] = -1
+        kt[n + k][k] = -e.label
     h, u = row_hermite(kt)
     kernel = [u[r] for r in range(n + m) if not any(h[r])]
     if len(kernel) != n:

@@ -156,7 +156,7 @@ def test_criterion_4_k5_golden(tmp_path, capsys):
     failures = []
     stated = [L5[j] for j in (2, 4, 7, 5, 9, 10)]
     a = selection_from_labels(k5, 1, stated)
-    f = selection_spline(k5, a)
+    f = selection_spline(a)
     if f != [0, a.value, 0, 0, a.value]:
         failures.append(f"pattern {f}")
     a_star = selection_from_labels(k5, 1, stated + [L5[3]])
@@ -263,7 +263,7 @@ def test_criterion_7_construction_soundness(complete_corpus, capsys):
         for i in range(1, k.n - 1):
             for s in minimal_selections(k, i):
                 try:
-                    f = selection_spline(k, s)
+                    f = selection_spline(s)
                 except Exception as exc:  # noqa: BLE001
                     failures.append(f"{k} i={i}: {exc}")
                     continue
@@ -297,10 +297,10 @@ def test_criterion_7_zero_component_bound(complete_corpus, capsys):
     for k in complete_corpus:
         for i in range(1, k.n - 1):
             for s in minimal_selections(k, i):
-                f = selection_spline(k, s)
+                f = selection_spline(s)
                 checked += 1
                 inside = {t for t in range(i + 1, k.n)
-                          if k.edge_index_between(i, t) in s.h_edges}
+                          if helpers.edge_index_between(k, i, t) in s.h_edges}
                 zero_set = set(range(i)) | inside
                 expected = [0 if v in zero_set else s.value
                             for v in range(k.n)]

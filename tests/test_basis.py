@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -27,6 +29,7 @@ from graphsplines import (
     span_coordinates,
     spline_matrix,
 )
+from graphsplines.cli import main as cli_main
 
 DIAMOND_FLOWUPS = [[1, 1, 1, 1], [0, 30, 0, 48], [0, 0, 8, 0], [0, 0, 0, 36]]
 
@@ -259,6 +262,29 @@ class TestCheckBasis:
         w = check_basis(poly_cycle, bad)
         assert not w.is_basis and w.quotient in (ZZX.parse("x"), ZZX.parse("-x"))
 
+    def test_determinant_off_the_target_is_internal(self, diamond, monkeypatch,
+                                                    tmp_path, capsys):
+        # The determinant of n splines is always a multiple of the target;
+        # a target that breaks this is a bug, reported as such by the
+        # library and as an input-free exit 2 by the command line.
+        monkeypatch.setattr(basis_mod, "determinant_target", lambda g: 7)
+        message = "determinant -?8640 is not a multiple of the target 7"
+        with pytest.raises(InternalConsistencyError, match=message):
+            check_basis(diamond, DIAMOND_FLOWUPS)
+        names = diamond.vertex_names
+        graph = tmp_path / "diamond.json"
+        graph.write_text(json.dumps(helpers.graph_doc("int", names, [
+            (names[e.u], names[e.v], e.label) for e in diamond.edges
+        ])))
+        argv = ["check-basis", "--graph", str(graph)]
+        for k, values in enumerate(DIAMOND_FLOWUPS):
+            spline = tmp_path / f"f{k}.json"
+            spline.write_text(json.dumps({"values": [str(v) for v in values]}))
+            argv += ["--spline", str(spline)]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(f"error: {message}\n", err)
+
 
 class TestFlowupBasis:
     def test_diamond_diagonal(self, diamond):
@@ -329,7 +355,7 @@ class TestFlowupBasis:
         # gcds, and no entry takes a remainder modulo M.
         x = 2 ** 300000 * 3 ** 5
         g = LabeledGraph(ZZ, ["a", "b", "c"],
-                         [Edge(0, 0, 1, x), Edge(1, 1, 2, 5 * x), Edge(2, 0, 2, 6)])
+                         [Edge(0, 1, x), Edge(1, 2, 5 * x), Edge(0, 2, 6)])
         assert flowup_basis(g) == helpers.modular_flowup_basis(g)
 
     def test_wall_n64_m128(self):

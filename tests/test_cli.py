@@ -62,6 +62,17 @@ def doc_path(tmp_path, doc, name="g.json"):
     return str(p)
 
 
+def run_module(*argv, timeout=None):
+    """``python -m graphsplines *argv`` in a child process.  The child
+    imports the package the suite imported, installed or not."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "graphsplines", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
+    )
+
+
 def primes(count):
     out = []
     c = 2
@@ -486,6 +497,23 @@ class TestFlowup:
         else:
             assert out.startswith("diagonal: 1 30 4 18\n")
 
+    @pytest.mark.parametrize("n, m", [(300, 900), (1000, 3000)])
+    def test_sparse_wall(self, tmp_path, n, m):
+        # The whole command, JSON rendering included, in a child process
+        # that must finish within 10 s; it takes about a second at n=1000.
+        # The Hermite elimination the closed-form rows replaced took
+        # 10-15 s at n=300.
+        g = helpers.random_sparse_graph(random.Random(1000 * n + m), n, m)
+        names = g.vertex_names
+        path = doc_path(tmp_path, helpers.graph_doc("int", names, [
+            (names[e.u], names[e.v], e.label) for e in g.edges
+        ]))
+        proc = run_module("flowup", "--graph", path, "--format", "json", timeout=10)
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["diagonal"] == [str(v) for v in splines.leading_values(g)]
+        assert len(doc["splines"]) == n
+
     def test_polynomial_domain_exits_2(self, capsys, poly_path):
         code, _, err = run(capsys, "flowup", "--graph", poly_path)
         assert code == 2 and "integer" in err
@@ -619,6 +647,19 @@ class TestJsonRenderer:
         }
         assert "".join(cli._dumps(doc)) == json.dumps(doc, indent=2)
 
+    def test_long_shared_containers_at_two_depths(self):
+        # Few pieces but more than 1024 characters: such a text is kept
+        # too, and reused as the same string at its own depth only.  The
+        # 40 repeats make the document itself too many pieces to join.
+        long_list = ["x" * 600, "y" * 600]
+        long_dict = {"k": "z" * 1500, "n": 10 ** 600}
+        doc = {"a": [long_list, long_dict], "c": [[long_dict, long_list]],
+               **{f"r{j}": (long_list, long_dict)[j % 2] for j in range(40)}}
+        pieces = cli._dumps(doc)
+        assert "".join(pieces) == json.dumps(doc, indent=2)
+        long = [p for p in pieces if len(p) > 1024]
+        assert len(long) == 42 and len({id(p) for p in long}) == 4
+
     def test_edge_documents(self):
         for doc in ({}, [], "", 0, True, False, None, 10 ** 40, -(10 ** 40),
                     [{}], {"": []}, {"\u00e9\"\\\x01": ["\U0001f600"]}):
@@ -691,14 +732,7 @@ class TestDriver:
         assert not re.search(r"\b(graphs|splines|basis_mod)\._", source)
 
     def test_module_entry_point(self, diamond_path):
-        # The child imports the package the suite imported, installed or not.
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphsplines", "invariants",
-             "--graph", diamond_path, "--format", "json"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_module("invariants", "--graph", diamond_path, "--format", "json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["q_g"] == "2160"
 

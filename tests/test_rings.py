@@ -278,6 +278,13 @@ class TestPolynomialKernelsAgainstOracles:
             sys.set_int_max_str_digits(saved)
 
 
+class TestIntPolyTruth:
+    def test_zero_is_falsy(self):
+        # Trailing zero coefficients are dropped, so [0, 0] is zero too.
+        assert not ZZX.zero and not IntPoly([0, 0]) and not IntPoly()
+        assert IntPoly([0, 1]) and IntPoly([-3]) and ZZX.one
+
+
 class TestIntPolyHash:
     def test_constants_meet_ints(self):
         assert 3 in {IntPoly((3,))} and IntPoly((3,)) in {3}
