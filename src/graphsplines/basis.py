@@ -8,8 +8,9 @@ divisor, so the verdict reduces to a unit test on the quotient.  There
 is one determinant path, ``determinant``, at every size including the
 empty matrix; it and the integer span solve in a non-triangular basis
 share one fraction-free (Bareiss) elimination.  Over ZZ[x] it runs on
-integers: the matrix is evaluated at x = 2^k, with 2^(k-1) above a bound
-B on the determinant's coefficients, and the one integer determinant is
+integers: the matrix is evaluated at x = 2^k, with 2^(k-1) above
+Hadamard's bound B on the determinant's coefficients, taken on the unit
+circle (``_packed_determinant``), and the one integer determinant is
 unpacked into its balanced base-2^k digits (Kronecker substitution; von
 zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).  The packed
 integers take (D+1)*k bits, D a degree bound, however sparse the entries
@@ -123,14 +124,16 @@ def _packed_determinant(m: list[list[IntPoly]]) -> Optional[IntPoly]:
     """det(m) over ZZX by Kronecker substitution, or None past the cap.
 
     Evaluation at x = 2^k is a ring map Z[x] -> Z, so det(m)(2^k) is the
-    determinant of the integers m(2^k).  Expanding the product of the row
-    sums bounds every coefficient of det(m) by B, the product over rows of
-    the entries' summed absolute coefficients; with 2^(k-1) > B the
-    balanced base-2^k digits of that integer are its coefficients.  k is
-    a whole number of bytes, so digits biased by 2^(k-1) into [0, 2^k)
-    pack and unpack through int.to_bytes and int.from_bytes.
+    determinant of the integers m(2^k).  A coefficient of det(m) is its
+    mean against a power of z on the unit circle, where |a(z)| <= ||a||_1,
+    so Hadamard's inequality bounds it by B, the product over rows of
+    ceil(sqrt(sum_j ||a_ij||_1^2)); with 2^(k-1) > B the balanced
+    base-2^k digits of that integer are its coefficients.  k is a whole
+    number of bytes, so digits biased by 2^(k-1) into [0, 2^k) pack and
+    unpack through int.to_bytes and int.from_bytes.
     """
-    bound = math.prod(sum(abs(c) for p in row for c in p.coeffs) for row in m)
+    bound = math.prod(math.isqrt(t - 1) + 1 if t else 0 for t in
+                      (sum(sum(map(abs, p.coeffs)) ** 2 for p in row) for row in m))
     if not bound:
         return IntPoly()
     # One digit past a degree bound; a zero column (degree -1) means det 0.

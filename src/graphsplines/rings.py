@@ -5,13 +5,14 @@ Two domains are provided.  ``ZZ`` operates on plain Python integers.
 integer coefficients stored as a low-to-high coefficient tuple with no
 trailing zeros (so the degree is one less than the tuple length).
 
-The polynomial kernels work on plain coefficient lists.  gcds split off
-the integer content and run a primitive remainder sequence on the
-primitive parts, in integer arithmetic throughout; a remainder step
-scales by the divisor's leading coefficient only when an exact integer
-quotient cannot cancel the top coefficient.  Exact division checks the
-leading coefficients and the values at 0 and 1 before the long division,
-and lcm is ``a·(b / gcd)``.  ``ZZX.parse`` lets whitespace separate
+The polynomial kernels work on plain coefficient lists and return them
+normalised, wrapped as they are.  gcds take each operand's integer
+content once and run a primitive remainder sequence on the primitive
+parts, in integer arithmetic; a remainder step scales by the divisor's
+leading coefficient only when an exact integer quotient cannot cancel
+the top coefficient.  Exact division checks the leading coefficients and
+the values at 0 and 1 before the long division, and lcm chains the
+kernels as ``a·(b / gcd)``.  ``ZZX.parse`` lets whitespace separate
 tokens but never split a number, so ``"1 0"`` is rejected, not read as 10.
 
 gcd and lcm results are canonical associates so repeated runs print
@@ -143,13 +144,7 @@ class IntPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
+        return _wrap(_mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -157,10 +152,26 @@ class IntPoly:
         return f"IntPoly({ZZX.format(self)!r})"
 
 
-def _primitive(cs):
-    """Coefficients of a nonzero polynomial with the content divided out
-    and the leading coefficient made positive."""
-    c = math.gcd(*cs)
+def _wrap(cs) -> IntPoly:
+    """An IntPoly of coefficients that are already normalised."""
+    p = IntPoly.__new__(IntPoly)
+    p.coeffs = tuple(cs)
+    return p
+
+
+def _mul_coeffs(a, b):
+    """Coefficients of the product of nonzero a and b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _primitive(cs, c):
+    """Coefficients of a nonzero polynomial, of content (or unit) c, with c
+    divided out and the leading coefficient made positive."""
     if cs[-1] < 0:
         c = -c
     return cs if c == 1 else [v // c for v in cs]
@@ -169,21 +180,23 @@ def _primitive(cs):
 def _scaled_rem(f, g):
     """``A·(f mod g)`` for some nonzero integer ``A``; g has degree >= 1.
 
-    Each step subtracts ``(top // lc)·x^s·g`` when ``lc`` divides the top
-    coefficient, and scales by ``lc`` first only when it does not, so
-    coefficients grow only where a pseudo-remainder cannot avoid it.
+    Each step pops the top coefficient, which ``(top // lc)·x^s·g``
+    cancels, and subtracts the rest of that multiple; it scales by ``lc``
+    first only when ``lc`` does not divide the top, so coefficients grow
+    only where a pseudo-remainder cannot avoid it.
     """
     r = list(f)
     lc = g[-1]
     dg = len(g) - 1
+    low = g[:-1]
     while len(r) > dg:
-        top = r[-1]
+        top = r.pop()
         q, m = divmod(top, lc)
         if m:
             r = [lc * v for v in r]
             q = top
-        j = len(r) - 1 - dg
-        for v in g:
+        j = len(r) - dg
+        for v in low:
             r[j] -= q * v
             j += 1
         while r and not r[-1]:
@@ -223,6 +236,22 @@ def _quotient(a, b):
     if any(r[:db]):
         return None
     return q
+
+
+def _gcd_coeffs(a, b):
+    """Canonical gcd of nonzero a and b: the contents' gcd c times the last
+    g of a primitive remainder sequence, or c once a remainder is constant."""
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    c = math.gcd(ca, cb)
+    f, g = _primitive(a, ca), _primitive(b, cb)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = _scaled_rem(f, g)
+        if not r:
+            return [c * v for v in g]
+        f, g = g, _primitive(r, math.gcd(*r))
+    return [c]
 
 
 class Domain:
@@ -392,28 +421,17 @@ class IntPolyDomain(Domain):
         return a.degree == 0 and a.coeffs[0] in (1, -1)
 
     def gcd(self, a: IntPoly, b: IntPoly) -> IntPoly:
-        ac, bc = a.coeffs, b.coeffs
-        if not ac:
+        if not a.coeffs:
             return self.canonical(b)
-        if not bc:
+        if not b.coeffs:
             return self.canonical(a)
-        c = math.gcd(*ac, *bc)
-        f, g = _primitive(ac), _primitive(bc)
-        if len(f) < len(g):
-            f, g = g, f
-        # Primitive remainder sequence: g stays primitive with a positive
-        # leading coefficient, and a constant remainder ends it at c.
-        while len(g) > 1:
-            r = _scaled_rem(f, g)
-            if not r:
-                return IntPoly([c * v for v in g])
-            f, g = g, _primitive(r)
-        return IntPoly((c,))
+        return _wrap(_gcd_coeffs(a.coeffs, b.coeffs))
 
     def lcm(self, a: IntPoly, b: IntPoly) -> IntPoly:
         if a.is_zero or b.is_zero:
             return IntPoly()
-        return self.canonical(a * self.exact_div(b, self.gcd(a, b)))
+        q = _quotient(b.coeffs, _gcd_coeffs(a.coeffs, b.coeffs))
+        return _wrap(_mul_coeffs(_primitive(a.coeffs, 1), _primitive(q, 1)))
 
     def divides(self, b: IntPoly, a: IntPoly) -> bool:
         if b.is_zero:
@@ -428,7 +446,7 @@ class IntPolyDomain(Domain):
             raise ExactDivisionError(
                 f"{self.format(b)} does not divide {self.format(a)}"
             )
-        return IntPoly(q)
+        return _wrap(q)
 
 
 ZZ = IntegerDomain()

@@ -62,9 +62,10 @@ def path_closure(g: LabeledGraph, i: int):
     A path closure over the ``(lcm, gcd)`` semiring, without listing
     trails.  A worklist walks from ``i`` through vertices ``> i`` and
     keeps ``reach[v]``, the lcm of the gcds of the walks found so far from
-    ``i`` to ``v`` (``reach[i]`` stays zero); an edge into an earlier
-    vertex folds the walk's gcd into the lead.  The first vertex, with no
-    earlier vertex, has lead one.  This is exact:
+    ``i`` to ``v``.  ``reach[i]`` stays zero, which every gcd divides, so
+    an edge back into ``i`` is skipped before its gcd; an edge into an
+    earlier vertex folds the walk's gcd into the lead.  The first vertex,
+    with no earlier vertex, has lead one.  This is exact:
 
     * gcd distributes over lcm in a GCD domain, so relaxing ``reach[v]``
       as a whole equals relaxing each walk into ``v`` on its own;
@@ -92,6 +93,8 @@ def path_closure(g: LabeledGraph, i: int):
         queued.discard(v)
         at_v = reach[v]
         for k, w in g.neighbors(v):
+            if w == i:
+                continue
             x = d.gcd(at_v, g.edges[k].label)
             if lead is not None and d.divides(x, lead):
                 continue

@@ -3,7 +3,8 @@
 The oracles here deliberately re-derive results through different
 algorithms than the package uses: determinants by first-row cofactor
 expansion, zero trails by full trail enumeration plus explicit edge-set
-pruning, leading values from the listed zero trails, the selection
+pruning, leading values from the listed zero trails, the path closure
+with a gcd for every walk back into its start vertex, the selection
 factors of every edge of every long zero trail, minimal selections by a
 hitting-set search over the long trails' label sets, trail counts by dynamic
 programming over used-edge sets, the flow-up basis and span coordinates
@@ -411,6 +412,40 @@ def brute_zero_trails(g: LabeledGraph, i: int):
         if not any(other < es for other in by_set):
             survivors.append(rep)
     return sorted(survivors)
+
+
+def reference_path_closure(g: LabeledGraph, i: int):
+    """Reference for ``splines.path_closure``: the same worklist, which
+    also takes the gcd of every walk back into ``i`` before the zero kept
+    at ``i`` drops it."""
+    d = g.domain
+    lead = d.one if i == 0 else None
+    reach = {i: d.zero}
+    work = [i]
+    queued = {i}
+    while work:
+        v = work.pop()
+        queued.discard(v)
+        at_v = reach[v]
+        for k, w in g.neighbors(v):
+            x = d.gcd(at_v, g.edges[k].label)
+            if lead is not None and d.divides(x, lead):
+                continue
+            if w < i:
+                lead = x if lead is None else d.lcm(lead, x)
+                continue
+            old = reach.get(w)
+            if old is not None:
+                if d.divides(x, old):
+                    continue
+                x = d.lcm(old, x)
+            reach[w] = x
+            if w not in queued:
+                queued.add(w)
+                work.append(w)
+    if lead is None:
+        raise DisconnectedGraphError(f"vertex {i} has no trail to any earlier vertex")
+    return lead, reach
 
 
 def trail_leading_value(g: LabeledGraph, i: int):

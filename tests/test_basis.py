@@ -6,7 +6,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -160,6 +160,52 @@ class TestPackedDeterminant:
                     for r in range(n)]
             want = monomial(math.prod(cs), n * (n + 1) // 2)
             assert basis_mod._packed_determinant(rows) == want
+
+    @staticmethod
+    def sylvester_hadamard(order):
+        h = [[1]]
+        while len(h) < order:
+            h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+        return h
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize("base", ["x", "x + 1"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hadamard_matrices_meet_the_bound(self, order, base, seed):
+        # Entry (i, j) is h_ij * s_i * t_j * base^k_i * x^l_j.  On the unit
+        # circle the rows stay orthogonal, so |det| meets Hadamard's bound
+        # at every point of it.
+        rng = random.Random(seed)
+        s, t = ([rng.choice((1, -1)) for _ in range(order)] for _ in range(2))
+        k, l = ([rng.randint(0, 3) for _ in range(order)] for _ in range(2))
+        b = ZZX.parse(base)
+        rows = [[ZZX.coerce(h * s[i] * t[j]) * ZZX.product([b] * k[i]) * monomial(1, l[j])
+                 for j, h in enumerate(row)]
+                for i, row in enumerate(self.sylvester_hadamard(order))]
+        packed = basis_mod._packed_determinant(rows)
+        assert packed is not None
+        assert packed == eliminated_determinant(ZZX, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_matrices())
+    # A row with one entry keeps its bound: a coefficient just under a
+    # byte boundary, alone or on a diagonal, packs in the same width.
+    @example([[IntPoly((2 ** 15 - 1,))]])
+    @example([[monomial(-127, 1), IntPoly()], [IntPoly(), IntPoly((1, -2 ** 16 + 2))]])
+    def test_width_within_the_row_sum_width(self, rows):
+        # The width the old bound gave, the product over rows of the
+        # entries' summed absolute coefficients: with the cap set to the
+        # packed size at that width, the determinant still packs.
+        old = math.prod(sum(abs(c) for p in row for c in p.coeffs) for row in rows)
+        size = 1 + max(0, min(sum(max(p.degree for p in row) for row in rows),
+                              sum(max(p.degree for p in col) for col in zip(*rows))))
+        cap = basis_mod._MAX_PACKED_BITS
+        basis_mod._MAX_PACKED_BITS = 8 * (old.bit_length() // 8 + 1) * size
+        try:
+            packed = basis_mod._packed_determinant(rows)
+        finally:
+            basis_mod._MAX_PACKED_BITS = cap
+        assert packed == eliminated_determinant(ZZX, rows)
 
     def test_cap_on_the_packed_size(self):
         # A monomial packs one byte per coefficient slot: 2^17 slots fill

@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 
@@ -274,6 +275,83 @@ class TestPolynomialKernelsAgainstOracles:
             assert ZZX.exact_div(b, f) == helpers.poly_exact_div(b, f)
             assert not ZZX.divides(a, b)
             assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
+def workload_operands(seed):
+    """The labels c * (x - a1)...(x - ak) of a ``random_poly_complete_graph``,
+    the ``poly`` workload's shapes, and lcms of gcds of them, built by the
+    oracles, as the leading values' path closure meets them."""
+    rng = random.Random(seed)
+    labels = [e.label for e in helpers.random_poly_complete_graph(rng, 4).edges]
+    values = list(labels)
+    for _ in range(6):
+        x = IntPoly((1,))
+        for _ in range(rng.randint(1, 3)):
+            x = helpers.prs_lcm(x, helpers.prs_gcd(*rng.sample(labels, 2)))
+        values.append(x)
+    return values
+
+
+HUGE = 10 ** 5000
+P = ZZX.parse("6*x^3 - 3*x + 9")
+Q = ZZX.parse("-2*x^2 + 5")
+BIG = ZZX.coerce(HUGE + 3) * ZZX.parse("x") - ZZX.coerce(2 * HUGE)
+EDGE_CASES = {
+    "constant-times": (ZZX.coerce(4), P),
+    "constant-times-multiple": (ZZX.coerce(-10) * P, P),
+    "equal": (P, P),
+    "equal-negated": (P, -P),
+    "divides": (Q, Q * P),
+    "divides-negated": (-Q, Q * ZZX.parse("-x^4 + 7*x - 1")),
+    "negative-leading": (ZZX.parse("-4*x^2 + 4"), ZZX.parse("-6*x^3 - 6*x^2")),
+    "huge": (BIG * ZZX.parse("x - 3"), BIG * ZZX.parse("-7*x^2 + 1")),
+    "huge-constant": (ZZX.coerce(-HUGE), BIG * ZZX.coerce(HUGE)),
+}
+
+
+def assert_normalised(r):
+    assert r.coeffs == IntPoly(r.coeffs).coeffs
+
+
+def check_kernels(a, b):
+    for x, y in ((a, b), (b, a)):
+        g, l = ZZX.gcd(x, y), ZZX.lcm(x, y)
+        assert g == helpers.prs_gcd(x, y)
+        assert l == helpers.prs_lcm(x, y)
+        for r in (g, l):
+            assert_normalised(r)
+            assert r.leading > 0
+        for num, den in ((x, y), (x * y, y), (l, x), (x, g)):
+            want = helpers.poly_exact_div(num, den)
+            if want is None:
+                with pytest.raises(ExactDivisionError):
+                    ZZX.exact_div(num, den)
+            else:
+                q = ZZX.exact_div(num, den)
+                assert q == want
+                assert_normalised(q)
+
+
+class TestKernelsOnWorkloadShapes:
+    """``ZZX.gcd``, ``lcm`` and ``exact_div`` against the oracles on the
+    operands the leading values meet and on edge cases; every result is
+    normalised, and gcds and lcms have a positive leading coefficient."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_workload_operands(self, seed):
+        values = workload_operands(seed)
+        for a in values:
+            for b in values:
+                check_kernels(a, b)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases(self, case):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            check_kernels(*EDGE_CASES[case])
         finally:
             sys.set_int_max_str_digits(saved)
 

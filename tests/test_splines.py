@@ -117,6 +117,50 @@ class TestLeadingValues:
         assert check_basis(diamond, flowup_basis(diamond)).is_basis
         assert leading_values(poly_cycle)[2] == ZZX.parse("x^2+x")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closure_matches_reference(self, seed):
+        # The whole reach map, not only the lead: flowup_basis reads it.
+        rng = random.Random(seed)
+        pool = [1, -1, 2, -2, 3, -3, 4, 8, -8, 9, 27, 16, 5, 25, 6, -12, 30, 49]
+        graphs = [helpers.random_poly_complete_graph(rng, rng.randint(3, 7))]
+        for _ in range(6):
+            n = rng.randint(2, 9)
+            names = [f"v{k}" for k in range(1, n + 1)]
+            graphs.append(helpers.make_graph("int", names, [
+                (names[u], names[v], rng.choice(pool))
+                for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.55
+            ]))
+        for g in graphs:
+            for i in range(g.n):
+                try:
+                    want = helpers.reference_path_closure(g, i)
+                except DisconnectedGraphError:
+                    with pytest.raises(DisconnectedGraphError):
+                        path_closure(g, i)
+                    continue
+                assert path_closure(g, i) == want
+
+    def test_no_gcd_on_edges_back_into_the_start(self, monkeypatch):
+        # Distinct primes name their edges.  The start vertex's own pop
+        # takes one gcd per edge at i; after it, no gcd takes a label at i,
+        # since every walk back into i is dropped by the zero kept there.
+        # Patched on the class, so nothing outlives the test.
+        names = [f"v{k}" for k in range(1, 7)]
+        g = helpers.make_graph("int", names, [
+            (names[u], names[v], p) for (u, v), p in
+            zip(itertools.combinations(range(6), 2), helpers.SMALL_PRIMES)
+        ])
+        labels = []
+        gcd_int = type(ZZ).gcd
+        monkeypatch.setattr(type(ZZ), "gcd",
+                            lambda self, a, b: labels.append(b) or gcd_int(self, a, b))
+        for i in range(g.n):
+            labels.clear()
+            path_closure(g, i)
+            at_i = [g.edges[k].label for k, _ in g.neighbors(i)]
+            assert labels[:len(at_i)] == at_i
+            assert set(at_i).isdisjoint(labels[len(at_i):])
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_closure_matches_trail_oracle(self, data):
