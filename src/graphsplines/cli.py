@@ -3,8 +3,8 @@
 Subcommands read graph and spline documents (JSON; see ``graphs`` and
 the README).  Exit codes: 0 for success or an affirmative verdict, 1 for
 a negative verdict, 2 for any input or usage problem.  Output is
-deterministic for identical inputs.  ``--format json`` output is byte for
-byte ``json.dumps(doc, indent=2)``, written in batches of pieces.
+deterministic.  ``--format json`` is ``json.dumps(doc, indent=2)`` byte
+for byte, written in batches, with one text per node the command shares.
 """
 
 from __future__ import annotations
@@ -54,20 +54,21 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 _WRITE_BATCH = 8192  # pieces that ``_emit_json`` joins into one write
 
 
-def _dumps(doc) -> list[str]:
+def _dumps(doc, shared=()) -> list[str]:
     """The pieces of ``json.dumps(doc, indent=2)``, byte for byte once
     joined, for a document of dicts with str keys, lists, str, int, bool
     and None; any other value raises TypeError.
 
     One pass over the document into one list of pieces, never joined
     whole; the standard library's encoder runs in pure Python whenever
-    ``indent`` is set (before Python 3.13).  The commands share edge,
-    path and choice objects between the places they appear, so the text
-    of a container of few pieces is kept by identity and depth, replaces
-    those pieces in the output and is reused.  The identities are stable
-    because ``doc`` holds every node until the pieces are built.  A kept
-    text copies its children's kept texts, which stay kept too.
+    ``indent`` is set (before Python 3.13).  ``shared`` holds the
+    containers that the command places at many points of ``doc``: the
+    text of each is joined once per depth, kept by identity and reused.
+    Every other container's pieces are appended as they are and nothing
+    of them is kept.  The identities are stable because the caller holds
+    every shared node until the pieces are built.
     """
+    shared = {id(obj) for obj in shared}
     texts = {}
     out = []
     append = out.append
@@ -104,8 +105,7 @@ def _dumps(doc) -> list[str]:
                     emit(v, inner)
                     lead = sep
                 append(newline + "]")
-            # An edge, a path or a choice; not a selection or a document.
-            if len(out) - start <= 64:
+            if id(obj) in shared:
                 text = texts[key] = "".join(out[start:])
                 out[start:] = [text]
         elif kind is bool or obj is None:
@@ -117,8 +117,8 @@ def _dumps(doc) -> list[str]:
     return out
 
 
-def _emit_json(obj) -> None:
-    pieces = _dumps(obj)
+def _emit_json(obj, shared=()) -> None:
+    pieces = _dumps(obj, shared)
     for k in range(0, len(pieces), _WRITE_BATCH):
         sys.stdout.write("".join(pieces[k:k + _WRITE_BATCH]))
     sys.stdout.write("\n")
@@ -127,8 +127,6 @@ def _emit_json(obj) -> None:
 def _vertex_index(g: graphs.LabeledGraph, vertex: int, what: str, after: int) -> int:
     # Command line indices are 1-based positions in the vertex order; a
     # vertex needs an earlier one and ``after`` later ones.
-    if vertex is None:
-        raise ValueError("this command needs --vertex")
     if (top := g.n - after) < 2:
         raise ValueError(f"{what} need a graph with at least {after + 2} vertices")
     if not 2 <= vertex <= top:
@@ -215,7 +213,7 @@ def _cmd_trails(args) -> int:
                 }
                 for t in trails
             ],
-        })
+        }, edges)
     else:
         for t in trails:
             path = "-".join(g.vertex_names[v] for v in t.vertices)
@@ -226,10 +224,10 @@ def _cmd_trails(args) -> int:
 
 
 def _selections_doc(g: graphs.LabeledGraph, i: int,
-                    sels: list[splines.Selection]) -> dict:
-    # Every selection at a vertex lists the same trails, so each trail has
-    # one path list and each (trail, chosen edge) pair one choice object,
-    # shared by the selections that make that choice.
+                    sels: list[splines.Selection]) -> tuple[dict, list]:
+    # The document, and the nodes it shares: the edge objects, one path
+    # list per trail (every selection lists the same trails) and one choice
+    # object per (trail, chosen edge) pair.
     d, names = g.domain, g.vertex_names
     edges = _edge_objs(g)
     trails = sels[0].trails if sels else ()
@@ -260,7 +258,7 @@ def _selections_doc(g: graphs.LabeledGraph, i: int,
             }
             for sel_id, sel in enumerate(sels)
         ],
-    }
+    }, [*edges, *paths, *(obj for c in choices for obj in c.values())]
 
 
 def _cmd_selections(args) -> int:
@@ -269,7 +267,7 @@ def _cmd_selections(args) -> int:
     d = g.domain
     sels = splines.minimal_selections(g, i, args.max_trails)
     if args.format == "json":
-        _emit_json(_selections_doc(g, i, sels))
+        _emit_json(*_selections_doc(g, i, sels))
     else:
         for k, s in enumerate(sels):
             labels = ", ".join(d.format(lab) for lab in s.labels)
@@ -327,7 +325,9 @@ def _cmd_check_basis(args) -> int:
 def _cmd_flowup(args) -> int:
     g = _load_graph(args.graph)
     d = g.domain
-    rows = [[d.format(v) for v in row] for row in basis_mod.flowup_basis(g)]
+    basis = basis_mod.flowup_basis(g)
+    texts = {v: d.format(v) for v in set().union(*basis)}
+    rows = [[texts[v] for v in row] for row in basis]
     diagonal = [row[k] for k, row in enumerate(rows)]
     if args.format == "json":
         _emit_json({
@@ -364,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--graph", required=True, help="graph document (JSON)")
         if vertex:
-            p.add_argument("--vertex", type=int,
+            p.add_argument("--vertex", type=int, required=True,
                            help="1-based position in the vertex order")
             p.add_argument("--max-trails", type=_trail_cap, default=DEFAULT_TRAIL_LIMIT,
                            help="abort trail enumeration beyond this many trails")

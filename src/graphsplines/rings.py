@@ -294,7 +294,7 @@ class IntegerDomain(Domain):
     _INTEGER = re.compile(r"[+-]?[0-9]+")
 
     def coerce(self, a):
-        if not isinstance(a, int):
+        if not isinstance(a, int) or isinstance(a, bool):
             raise TypeError(f"expected an integer, got {type(a).__name__}")
         return a
 
@@ -356,7 +356,7 @@ class IntPolyDomain(Domain):
     def coerce(self, a):
         if isinstance(a, IntPoly):
             return a
-        if isinstance(a, int):
+        if isinstance(a, int) and not isinstance(a, bool):
             return IntPoly((a,))
         raise TypeError(f"expected an integer polynomial, got {type(a).__name__}")
 

@@ -62,15 +62,20 @@ def doc_path(tmp_path, doc, name="g.json"):
     return str(p)
 
 
-def run_module(*argv, timeout=None):
-    """``python -m graphsplines *argv`` in a child process.  The child
-    imports the package the suite imported, installed or not."""
+def run_python(*argv, timeout=None):
+    """``python *argv`` in a child process that imports the package the
+    suite imported, installed or not."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "graphsplines", *argv], capture_output=True, text=True,
+        [sys.executable, *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
     )
+
+
+def run_module(*argv, timeout=None):
+    """``python -m graphsplines *argv`` in a child process."""
+    return run_python("-m", "graphsplines", *argv, timeout=timeout)
 
 
 def primes(count):
@@ -251,8 +256,9 @@ class TestTrails:
         assert [t["gcd"] for t in doc["trails"]] == ["5", "2", "3"]
 
     def test_vertex_required(self, capsys, diamond_path):
-        code, _, err = run(capsys, "trails", "--graph", diamond_path)
-        assert code == 2 and "--vertex" in err
+        for command in ("trails", "selections", "construct"):
+            code, out, err = run(capsys, command, "--graph", diamond_path)
+            assert code == 2 and out == "" and "--vertex" in err
 
     def test_vertex_range(self, capsys, diamond_path):
         code, _, err = run(capsys, "trails", "--graph", diamond_path,
@@ -483,15 +489,17 @@ class TestFlowup:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_each_entry_formatted_once(self, capsys, monkeypatch, diamond_path, fmt):
-        # n^2 entries, the diagonal taken from the row texts; formatting it
-        # again makes n^2 + n.  Patched on the class, since an attribute
-        # set on the instance would outlive the test.
+        # One text per distinct entry: the 16 entries hold 6 values, the
+        # zeros among them.  Patched on the class, since an attribute set
+        # on the instance would outlive the test.
+        distinct = set().union(*flowup_basis(graphs.load_graph(DIAMOND_DOC)))
         calls = []
         format_int = type(ZZ).format
         monkeypatch.setattr(type(ZZ), "format",
                             lambda self, a: calls.append(a) or format_int(self, a))
         code, out, _ = run(capsys, "flowup", "--graph", diamond_path, "--format", fmt)
-        assert code == 0 and len(calls) == 4 * 4
+        assert code == 0 and len(calls) == len(distinct) == 6
+        assert set(calls) == distinct
         if fmt == "json":
             assert json.loads(out)["diagonal"] == ["1", "30", "4", "18"]
         else:
@@ -648,17 +656,50 @@ class TestJsonRenderer:
         assert "".join(cli._dumps(doc)) == json.dumps(doc, indent=2)
 
     def test_long_shared_containers_at_two_depths(self):
-        # Few pieces but more than 1024 characters: such a text is kept
-        # too, and reused as the same string at its own depth only.  The
-        # 40 repeats make the document itself too many pieces to join.
+        # A shared text is kept once per depth, and reused as the same
+        # string at its own depth only: 44 places, 3 depths, 2 containers.
         long_list = ["x" * 600, "y" * 600]
         long_dict = {"k": "z" * 1500, "n": 10 ** 600}
         doc = {"a": [long_list, long_dict], "c": [[long_dict, long_list]],
                **{f"r{j}": (long_list, long_dict)[j % 2] for j in range(40)}}
-        pieces = cli._dumps(doc)
+        pieces = cli._dumps(doc, [long_list, long_dict])
         assert "".join(pieces) == json.dumps(doc, indent=2)
         long = [p for p in pieces if len(p) > 1024]
-        assert len(long) == 42 and len({id(p) for p in long}) == 4
+        assert len(long) == 44 and len({id(p) for p in long}) == 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(node=st.lists(JSON_DOCS, min_size=1, max_size=3)
+           | st.dictionaries(JSON_TEXT, JSON_DOCS, min_size=1, max_size=3),
+           other=JSON_DOCS, data=st.data())
+    def test_any_declared_containers(self, node, other, data):
+        # Any subset of the document's containers may be declared shared,
+        # with ``node`` at two depths and a copy of it that the document
+        # does not hold: equal, but not the same object.
+        doc = {"node": node, "deeper": [other, {"again": [node, node]}]}
+        found, stack = {}, [doc]
+        while stack:
+            obj = stack.pop()
+            if type(obj) in (dict, list) and id(obj) not in found:
+                found[id(obj)] = obj
+                stack.extend(obj.values() if type(obj) is dict else obj)
+        containers = list(found.values())
+        mask = data.draw(st.lists(st.booleans(), min_size=len(containers),
+                                  max_size=len(containers)))
+        shared = [c for c, keep in zip(containers, mask) if keep]
+        shared.append(json.loads(json.dumps(node)))
+        assert "".join(cli._dumps(doc, shared)) == json.dumps(doc, indent=2)
+
+    def test_unshared_parents_not_kept(self):
+        # One long edge object in 50 trails that are not shared: every
+        # piece that holds the edge's text is that one kept string, not a
+        # trail's joined copy of it.
+        edge = {"index": 0, "u": "a", "v": "b", "label": "7" * 5000}
+        doc = {"trails": [{"path": ["a", "b"], "edges": [edge], "gcd": "7"}
+                          for _ in range(50)]}
+        pieces = cli._dumps(doc, [edge])
+        assert "".join(pieces) == json.dumps(doc, indent=2)
+        long = [p for p in pieces if len(p) > 5000]
+        assert len(long) == 50 and len({id(p) for p in long}) == 1
 
     def test_edge_documents(self):
         for doc in ({}, [], "", 0, True, False, None, 10 ** 40, -(10 ** 40),
@@ -691,6 +732,29 @@ class TestJsonRenderer:
     def test_unsupported_values_raise(self, doc):
         with pytest.raises(TypeError):
             cli._dumps(doc)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_big_label_trails_memory(self, tmp_path):
+        # Distinct-prime K8 with every label times 10^700: 11 MB of trails
+        # whose edge texts are 700 digits each.  Keeping each trail's text
+        # with copies of its edges' texts peaked near 60 MB; the edge texts
+        # kept once and the trails written as pieces stay near 25 MB.  The
+        # child reads its peak RSS as VmHWM, not ru_maxrss: ru_maxrss keeps
+        # the peak of the process image before exec, here the test runner.
+        doc = distinct_complete_doc(8)
+        for e in doc["edges"]:
+            e["label"] += "0" * 700
+        path = doc_path(tmp_path, doc)
+        script = ("import os, re, sys\n"
+                  "from graphsplines.cli import main\n"
+                  "sys.stdout = open(os.devnull, 'w')\n"
+                  "code = main(sys.argv[1:])\n"
+                  "status = open('/proc/self/status').read()\n"
+                  "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], file=sys.stderr)\n")
+        proc = run_python("-c", script, "trails", "--graph", path, "--vertex", "2",
+                          "--format", "json", timeout=60)
+        code, kib = map(int, proc.stderr.split())
+        assert code == 0 and kib < 40 * 1024
 
 
 class TestDriver:

@@ -50,7 +50,12 @@ class TestCoerce:
         (ZZX, 2.0, "^expected an integer polynomial, got float$"),
         (ZZX, "x", "^expected an integer polynomial, got str$"),
         (ZZX, None, "^expected an integer polynomial, got NoneType$"),
-    ], ids=["zz-float", "zz-str", "zz-poly", "zzx-float", "zzx-str", "zzx-none"])
+        # bool is an int subclass; as an entry it would make
+        # determinant(ZZ, [[True]]) be True, which formats as "True".
+        (ZZ, True, "^expected an integer, got bool$"),
+        (ZZX, False, "^expected an integer polynomial, got bool$"),
+    ], ids=["zz-float", "zz-str", "zz-poly", "zzx-float", "zzx-str", "zzx-none",
+            "zz-bool", "zzx-bool"])
     def test_rejects_non_numbers(self, domain, value, match):
         with pytest.raises(TypeError, match=match):
             domain.coerce(value)
