@@ -279,11 +279,11 @@ def _cmd_selections(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _load_graph(args.graph)
+    i = _vertex_index(g, args.vertex, "selections", 1)
+    graphs.check_completion_trail_cap(g, i, args.max_trails)
     if missing := g.n * (g.n - 1) // 2 - g.m:
         print(f"note: completed the graph with {missing} unit-labeled edges; "
               "selection ids refer to the completion", file=sys.stderr)
-    i = _vertex_index(g, args.vertex, "selections", 1)
-    graphs.check_completion_trail_cap(g, i, args.max_trails)
     k = graphs.completion(g)
     sel = splines.minimal_selection(k, i, args.selection, args.max_trails)
     values = splines.selection_spline(sel)

@@ -16,10 +16,14 @@ nonzero value used by the spline constructions at the end of the module.
 Minimal selections are the minimal label cuts between i and the earlier
 vertices.  ``minimal_selections``, ``minimal_selection`` and
 ``selection_from_labels`` share one path: a per-vertex context lists the
-long trails, the leading value and a key per label once, and turns each
-label set into a ``Selection``, where every trail takes its lowest-indexed
-selected edge.  Only a label that no trail took sends the choice to an
-augmenting-path repair, which minimal label sets never need.
+long trails, the leading value and a key per label once, with a bit mask
+of each trail's edges and of the edges carrying each key.  It turns each
+label set into a ``Selection``: the key masks are ORed into one mask, and
+every trail takes the lowest set bit of its mask within it, its
+lowest-indexed selected edge.  Only a label that no trail took sends the
+choice to an augmenting-path repair, which minimal label sets never need.
+Each trail's quotients are computed on first use and kept, and the
+product is taken once per distinct quotient, as a power.
 """
 
 from __future__ import annotations
@@ -211,10 +215,25 @@ def _repair(trails: Sequence[Trail], choice: list[int], keyset: frozenset[int],
     return choice
 
 
+def _power(d, f, c: int):
+    """``f`` to the power ``c >= 0`` by repeated squaring through ``d.mul``;
+    ``IntPoly`` has no ``__pow__``."""
+    out = d.one
+    while c:
+        if c & 1:
+            out = d.mul(out, f)
+        c >>= 1
+        if c:
+            f = d.mul(f, f)
+    return out
+
+
 class _VertexSelections:
     """What every selection at vertex ``i`` shares, built once: the long
-    zero trails, the leading value, and the key of each label, the
-    smallest edge index carrying its canonical associate."""
+    zero trails with a bit mask of each one's edge indices, the leading
+    value, the key of each label (the smallest edge index carrying its
+    canonical associate) with a mask of the edges carrying it, and per
+    trail a dict from edge to quotient l(e)/gcd, filled on first use."""
 
     def __init__(self, g: LabeledGraph, i: int, max_trails: int):
         if not 1 <= i <= g.n - 2:
@@ -225,9 +244,14 @@ class _VertexSelections:
         self.key: dict = {}
         self.edge_key = [self.key.setdefault(d.canonical(e.label), k)
                          for k, e in enumerate(g.edges)]
+        self.key_mask: dict[int, int] = {}
+        for e, k in enumerate(self.edge_key):
+            self.key_mask[k] = self.key_mask.get(k, 0) | 1 << e
         self.trails = tuple(
             t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
         )
+        self.trail_mask = [sum(1 << e for e in t.edges) for t in self.trails]
+        self.quotients: list[dict] = [{} for _ in self.trails]
         self.lead = leading_value(g, i)
 
     def minimal_keysets(self) -> list[frozenset[int]]:
@@ -238,14 +262,30 @@ class _VertexSelections:
         one later neighbour at a time, each added or kept out for good; a
         branch lives only while every vertex kept out reaches an earlier one
         outside S without the edges of keys already cut.  A leaf is kept if
-        dropping any one key reconnects ``i``; with distinct labels all are.
-        The exits, the later vertices with the keys of their edges to
-        earlier ones, are listed once per call.
+        dropping any one key reconnects ``i``.  The exits, the later
+        vertices with the keys of their edges to earlier ones, and the keys
+        that label more than one edge of the search graph (the edges with
+        an endpoint after ``i``) are listed once per call.
+
+        Only a leaf whose cut holds one of those keys runs that check, one
+        ``escaping`` search per cut key.  Any other leaf is kept as it is:
+
+        * each cut key was added for a boundary edge of S; a key that
+          labels one edge labels only that boundary edge, so deleting the
+          cut removes exactly the boundary edges and leaves S connected;
+        * dropping a key k, on the boundary edge s-w with s in S, then
+          reconnects ``i`` through s and w.  Either w is earlier, or w is
+          kept out, and a kept-out w escapes avoiding S and the cut, which
+          the push that made this leaf verified.
+
+        With distinct labels no leaf runs the check, and all are kept.
         """
         g, i, key = self.graph, self.vertex, self.edge_key
         adj = [[(key[k], w) for k, w in g.neighbors(v) if max(v, w) > i] for v in range(g.n)]
         exits = [(v, keys) for v in range(i, g.n)
                  if (keys := {k for k, w in adj[v] if w < i})]
+        uses = Counter(k for v in range(g.n) for k, w in adj[v] if v < w)
+        repeated = {k for k, c in uses.items() if c > 1}
 
         def escaping(side: frozenset, cut: frozenset) -> set[int]:
             """Vertices ``>= i`` outside ``side`` that reach an earlier one
@@ -264,7 +304,8 @@ class _VertexSelections:
             side, out, cut = stack.pop()
             frontier = {w for v in side for _, w in adj[v] if w > i} - side - out
             if not frontier:
-                if all(i in escaping(frozenset(), cut - {k}) for k in cut):
+                if cut.isdisjoint(repeated) or all(
+                        i in escaping(frozenset(), cut - {k}) for k in cut):
                     cuts.append(cut)
                 continue
             v = min(frontier)
@@ -279,27 +320,35 @@ class _VertexSelections:
     def select(self, keyset: frozenset[int]) -> Selection:
         """The selection whose label keys are ``keyset``.
 
-        Each long trail takes its lowest-indexed edge among ``h_edges``,
-        the edges whose key is in ``keyset``; only when some key is then
-        taken by no trail does ``_repair`` reassign trails.
+        The masks of the keys are ORed into ``h``, the edges whose key is in
+        ``keyset`` (``h_edges``).  Each long trail takes the lowest set bit
+        of its mask within ``h``, its lowest-indexed selected edge; only
+        when some key is then taken by no trail does ``_repair`` reassign
+        trails.  The product of the chosen quotients is taken over their
+        distinct values, each to the power of its count.
         """
         g, d, trails, key = self.graph, self.graph.domain, self.trails, self.edge_key
-        h_edges = frozenset(e for e, k in enumerate(key) if k in keyset)
-        choice = []
-        for t in trails:
-            common = h_edges.intersection(t.edges)
-            if not common:
-                raise ValueError(
-                    "label set misses the trail through "
-                    + "-".join(g.vertex_names[v] for v in t.vertices)
-                )
-            choice.append(min(common))
-        if len({key[e] for e in choice}) < len(keyset):
+        h = 0
+        for k in keyset:
+            h |= self.key_mask[k]
+        common = [mask & h for mask in self.trail_mask]
+        if 0 in common:
+            t = trails[common.index(0)]
+            raise ValueError(
+                "label set misses the trail through "
+                + "-".join(g.vertex_names[v] for v in t.vertices)
+            )
+        choice = [(c & -c).bit_length() - 1 for c in common]
+        if len(set(map(key.__getitem__, choice))) < len(keyset):
             choice = _repair(trails, choice, keyset, key)
-        factors = tuple(
-            d.exact_div(g.edges[e].label, t.gcd) for t, e in zip(trails, choice)
-        )
-        product = d.canonical(d.product(factors))
+        factors = list(map(dict.get, self.quotients, choice))
+        if None in factors:
+            for ti, e in enumerate(choice):
+                if factors[ti] is None:
+                    factors[ti] = self.quotients[ti][e] = d.exact_div(
+                        g.edges[e].label, trails[ti].gcd)
+        factors = tuple(factors)
+        product = d.canonical(d.product(_power(d, f, c) for f, c in Counter(factors).items()))
         return Selection(
             graph=g,
             vertex=self.vertex,
@@ -309,7 +358,7 @@ class _VertexSelections:
             labels=tuple(d.canonical(g.edges[k].label) for k in sorted(keyset)),
             product=product,
             value=d.canonical(d.mul(product, self.lead)),
-            h_edges=h_edges,
+            h_edges=frozenset(e for e, k in enumerate(key) if k in keyset),
         )
 
 

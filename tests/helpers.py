@@ -6,8 +6,9 @@ expansion, zero trails by full trail enumeration plus explicit edge-set
 pruning, leading values from the listed zero trails, the path closure
 with a gcd for every walk back into its start vertex, the selection
 factors of every edge of every long zero trail, minimal selections by a
-hitting-set search over the long trails' label sets, trail counts by dynamic
-programming over used-edge sets, the flow-up basis and span coordinates
+hitting-set search over the long trails' label sets, the label-cut search
+with every leaf checked, each selection realized by set intersections and
+one plain product, trail counts by dynamic programming over used-edge sets, the flow-up basis and span coordinates
 through a Hermite form over the integers that tracks its unimodular
 transform, the flow-up basis again by a Hermite elimination modulo the
 lcm of the labels, and a third time by localising at a coprime base of
@@ -45,6 +46,7 @@ from graphsplines import (
     selection_from_labels,
     zero_trails,
 )
+from graphsplines.splines import _repair
 
 
 def graph_doc(domain, vertices, edges):
@@ -536,6 +538,80 @@ def hitting_set_selections(g: LabeledGraph, i: int) -> list[Selection]:
     ]
     return [selection_from_labels(g, i, [g.edges[k].label for k in sorted(s)])
             for s in minimal_hitting_sets(keysets)]
+
+
+def checked_minimal_keysets(at, check: bool = True) -> list[frozenset[int]]:
+    """``_VertexSelections.minimal_keysets`` with the leaf check run at
+    every leaf: one ``escaping`` search per cut key, whatever labels the
+    cut holds.  With ``check=False`` every leaf is kept instead, which
+    shows where the check drops a cut.
+    """
+    g, i, key = at.graph, at.vertex, at.edge_key
+    adj = [[(key[k], w) for k, w in g.neighbors(v) if max(v, w) > i] for v in range(g.n)]
+    exits = [(v, keys) for v in range(i, g.n)
+             if (keys := {k for k, w in adj[v] if w < i})]
+
+    def escaping(side: frozenset, cut: frozenset) -> set[int]:
+        work = [v for v, keys in exits if v not in side and not keys <= cut]
+        seen = set(work)
+        while work:
+            for k, w in adj[work.pop()]:
+                if w >= i and k not in cut and w not in side and w not in seen:
+                    seen.add(w)
+                    work.append(w)
+        return seen
+
+    cuts, stack = [], [(frozenset({i}), frozenset(), frozenset())]
+    while stack:
+        side, out, cut = stack.pop()
+        frontier = {w for v in side for _, w in adj[v] if w > i} - side - out
+        if not frontier:
+            if not check or all(i in escaping(frozenset(), cut - {k}) for k in cut):
+                cuts.append(cut)
+            continue
+        v = min(frontier)
+        kept = cut | {k for k, w in adj[v] if w in side}
+        if out | {v} <= escaping(side, kept):
+            stack.append((side, out | {v}, kept))
+        grown = cut | {k for k, w in adj[v] if w < i or w in out}
+        if out <= escaping(side | {v}, grown):
+            stack.append((side | {v}, out, grown))
+    return sorted(cuts, key=lambda c: tuple(sorted(c)))
+
+
+def reference_select(at, keyset: frozenset[int]) -> Selection:
+    """``_VertexSelections.select`` without bit masks or kept quotients:
+    each trail takes ``min`` of its edges' intersection with the selected
+    ones, each factor is one ``exact_div``, and the product is
+    ``Domain.product`` over every factor."""
+    g, d, trails, key = at.graph, at.graph.domain, at.trails, at.edge_key
+    h_edges = frozenset(e for e, k in enumerate(key) if k in keyset)
+    choice = []
+    for t in trails:
+        common = h_edges.intersection(t.edges)
+        if not common:
+            raise ValueError(
+                "label set misses the trail through "
+                + "-".join(g.vertex_names[v] for v in t.vertices)
+            )
+        choice.append(min(common))
+    if len({key[e] for e in choice}) < len(keyset):
+        choice = _repair(trails, choice, keyset, key)
+    factors = tuple(
+        d.exact_div(g.edges[e].label, t.gcd) for t, e in zip(trails, choice)
+    )
+    product = d.canonical(d.product(factors))
+    return Selection(
+        graph=g,
+        vertex=at.vertex,
+        trails=trails,
+        chosen=tuple(choice),
+        factors=factors,
+        labels=tuple(d.canonical(g.edges[k].label) for k in sorted(keyset)),
+        product=product,
+        value=d.canonical(d.mul(product, at.lead)),
+        h_edges=h_edges,
+    )
 
 
 def count_trails_dp(g: LabeledGraph, start: int, end: int) -> int:

@@ -423,7 +423,8 @@ class TestConstruct:
     def test_cap_checked_before_the_completion(self, capsys, tmp_path, monkeypatch):
         # The completion of an 800-vertex path has 318 801 more edges, and
         # v2 has far more than 1000 zero trails there: the cap stops the
-        # command before any of them is built.
+        # command before any of them is built, and before it notes a
+        # completion that it never builds.
         names = [f"v{k}" for k in range(1, 801)]
         path = doc_path(tmp_path, helpers.graph_doc(
             "int", names, [(a, b, 2) for a, b in zip(names, names[1:])]))
@@ -435,10 +436,17 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "--graph", path,
                              "--vertex", "2", "--max-trails", "1000")
         assert code == 2 and out == ""
-        assert err == ("note: completed the graph with 318801 unit-labeled edges; "
-                       "selection ids refer to the completion\n"
-                       "error: vertex v2 has more than 1000 zero trails; "
+        assert err == ("error: vertex v2 has more than 1000 zero trails; "
                        "raise the cap to continue\n")
+
+    def test_bad_vertex_before_the_completion_note(self, capsys, tmp_path):
+        # A 3-vertex path lacks one edge; --vertex 9 is rejected without a
+        # note about completing it.
+        path = doc_path(tmp_path, helpers.graph_doc(
+            "int", ["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)]))
+        code, out, err = run(capsys, "construct", "--graph", path, "--vertex", "9")
+        assert code == 2 and out == ""
+        assert err == "error: --vertex must be between 2 and 2\n"
 
     def test_selection_id_past_the_count(self, capsys, tmp_path):
         code, out, err = run(capsys, "construct", "--graph",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import enumerate_trails, trail_factor_sets
 from graphsplines import (
+    DEFAULT_TRAIL_LIMIT,
     DisconnectedGraphError,
     Selection,
     SplineConstructionError,
@@ -31,6 +32,7 @@ from graphsplines import (
     top_spline,
     zero_trails,
 )
+from graphsplines import splines
 from graphsplines.splines import path_closure
 
 L4, L5 = helpers.K4_LABELS, helpers.K5_LABELS
@@ -416,6 +418,106 @@ class TestMinimalSelections:
         sels = minimal_selections(g, 1)
         assert [s.labels for s in sels] == [(3,), (7,)]
         assert [s.product for s in sels] == [3 ** m, 7 ** m]
+
+
+def selection_fields(s):
+    # Selection compares by identity; compare its fields, and the types of
+    # its ring values, since an int equals the constant IntPoly.
+    values = (*s.factors, s.product, s.value)
+    return (s.vertex, s.trails, s.chosen, s.factors, s.labels, s.product, s.value,
+            s.h_edges, [type(v) for v in values])
+
+
+def outcome(call):
+    try:
+        s = call()
+    except ValueError as e:
+        return "error", str(e)
+    return "selection", selection_fields(s)
+
+
+class TestSelectionFastPaths:
+    """The mask realization and the unchecked label-cut leaves against the
+    oracles that intersect sets and check every leaf."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_minimal_selections_match_the_oracles(self, data):
+        g = data.draw(selection_graphs())
+        for i in range(1, g.n - 1):
+            at = splines._VertexSelections(g, i, DEFAULT_TRAIL_LIMIT)
+            keysets = at.minimal_keysets()
+            assert keysets == helpers.checked_minimal_keysets(at)
+            got = minimal_selections(g, i)
+            assert all(s.graph is g for s in got)
+            assert [selection_fields(s) for s in got] == \
+                [selection_fields(helpers.reference_select(at, k)) for k in keysets]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_label_sets_match_reference_select(self, data):
+        # A minimal key set with random keys added is realizable but often
+        # takes _repair; a set of random keys alone often misses a trail.
+        g = data.draw(selection_graphs())
+        for i in range(1, g.n - 1):
+            at = splines._VertexSelections(g, i, DEFAULT_TRAIL_LIMIT)
+            base = data.draw(st.sampled_from(at.minimal_keysets() + [frozenset()]))
+            keyset = base | data.draw(st.frozensets(st.sampled_from(sorted(set(at.edge_key)))))
+            labels = [g.edges[k].label for k in keyset]
+            assert outcome(lambda: selection_from_labels(g, i, labels)) == \
+                outcome(lambda: helpers.reference_select(at, keyset))
+
+    def test_repaired_choice_takes_its_own_factors(self):
+        # At v4 the lowest selected edges carry labels 6, 2, 2; repair moves
+        # the second trail onto 3, whose factor the select recomputes.
+        g = helpers.make_graph("int", ["v1", "v2", "v3", "v4", "v5"], [
+            ("v1", "v2", 2), ("v1", "v3", 5), ("v1", "v5", 6), ("v2", "v3", 2),
+            ("v2", "v5", 2), ("v3", "v4", 15), ("v3", "v5", 2), ("v4", "v5", 3),
+        ])
+        at = splines._VertexSelections(g, 3, DEFAULT_TRAIL_LIMIT)
+        keyset = frozenset(at.key[lab] for lab in (2, 3, 6))
+        assert selection_fields(at.select(keyset)) == \
+            selection_fields(helpers.reference_select(at, keyset))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_power_by_squaring_matches_prod(self, data):
+        d = data.draw(st.sampled_from([ZZ, ZZX]))
+        if d is ZZ:
+            f = data.draw(st.integers(min_value=-50, max_value=50))
+        else:
+            f = ZZX.product(ZZX.parse(p) for p in data.draw(
+                st.lists(st.sampled_from(POLY_FACTORS), max_size=3)))
+        c = data.draw(st.integers(min_value=0, max_value=13))
+        got, want = splines._power(d, f, c), math.prod([f] * c, start=d.one)
+        assert got == want and type(got) is type(want)
+
+    def test_repeated_label_k5_at_every_vertex(self):
+        # Labels 2, 3 and 5 each label two edges.  At v2 and v4 the search
+        # reaches a leaf whose cut is not minimal, and the check drops it.
+        g = helpers.repeated_label_k5()
+        got = [[s.labels for s in minimal_selections(g, i)] for i in (1, 2, 3)]
+        assert got == [
+            [(2, 3, 7), (2, 3, 5)],
+            [(3, 7, 5), (3, 11, 5), (7, 13, 5), (13, 11)],
+            [(5,)],
+        ]
+        leaves = [len(helpers.checked_minimal_keysets(
+            splines._VertexSelections(g, i, DEFAULT_TRAIL_LIMIT), check=False))
+            for i in (1, 2, 3)]
+        assert leaves == [3, 4, 2]
+
+    def test_leaf_whose_shared_key_cuts_alone_is_dropped(self):
+        # At v3 the leaf S = {v3, v4} cuts v4-v1 (3) and v4-v2 (5).  But 5
+        # also labels v3-v4 inside S, so 5 alone cuts v3 off: {3, 5} is not
+        # minimal, although every cut key labels a boundary edge.
+        g = helpers.make_graph("int", ["v1", "v2", "v3", "v4"], [
+            ("v1", "v4", 3), ("v2", "v4", 5), ("v3", "v4", 5),
+        ])
+        at = splines._VertexSelections(g, 2, DEFAULT_TRAIL_LIMIT)
+        assert helpers.checked_minimal_keysets(at, check=False) == \
+            [frozenset({0, 1}), frozenset({1})]
+        assert [s.labels for s in minimal_selections(g, 2)] == [(5,)]
 
 
 class TestSelectionProducts:
