@@ -4,7 +4,7 @@ Subcommands read graph and spline documents (JSON; see ``graphs`` and
 the README).  Exit codes: 0 for success or an affirmative verdict, 1 for
 a negative verdict, 2 for any input or usage problem.  Output is
 deterministic.  ``--format json`` is ``json.dumps(doc, indent=2)`` byte
-for byte, written in batches, with one text per node the command shares.
+for byte, written in batches, with one kept text per ``_Shared`` node.
 """
 
 from __future__ import annotations
@@ -54,22 +54,29 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 _WRITE_BATCH = 8192  # pieces that ``_emit_json`` joins into one write
 
 
-def _dumps(doc, shared=()) -> list[str]:
+class _Shared:
+    """A node that a command places at many points of its document:
+    ``_dumps`` keeps its text, joined at ``newline``, and reuses it there."""
+
+    __slots__ = ("value", "newline", "text")
+
+    def __init__(self, value):
+        self.value, self.newline, self.text = value, None, None
+
+
+def _dumps(doc) -> list[str]:
     """The pieces of ``json.dumps(doc, indent=2)``, byte for byte once
     joined, for a document of dicts with str keys, lists, str, int, bool
-    and None; any other value raises TypeError.
+    and None, with any node wrapped as ``_Shared`` written as its value;
+    any other value raises TypeError.
 
     One pass over the document into one list of pieces, never joined
     whole; the standard library's encoder runs in pure Python whenever
-    ``indent`` is set (before Python 3.13).  ``shared`` holds the
-    containers that the command places at many points of ``doc``: the
-    text of each is joined once per depth, kept by identity and reused.
-    Every other container's pieces are appended as they are and nothing
-    of them is kept.  The identities are stable because the caller holds
-    every shared node until the pieces are built.
+    ``indent`` is set (before Python 3.13).  A ``_Shared`` node's text
+    is joined and kept on the wrapper, and reused while its depth stays
+    the same.  Every other container's pieces are appended as they are
+    and nothing of them is kept.
     """
-    shared = {id(obj) for obj in shared}
-    texts = {}
     out = []
     append = out.append
 
@@ -77,18 +84,19 @@ def _dumps(doc, shared=()) -> list[str]:
         kind = type(obj)
         if kind is str:
             append(encode_basestring_ascii(obj))
+        elif kind is _Shared:
+            if obj.newline != newline:
+                start = len(out)
+                emit(obj.value, newline)
+                obj.newline, obj.text = newline, "".join(out[start:])
+                del out[start:]
+            append(obj.text)
         elif kind is int:
             append(int.__repr__(obj))
         elif kind is dict or kind is list:
             if not obj:
                 append("{}" if kind is dict else "[]")
                 return
-            key = (id(obj), newline)
-            text = texts.get(key)
-            if text is not None:
-                append(text)
-                return
-            start = len(out)
             inner = newline + "  "
             sep = "," + inner
             if kind is dict:
@@ -105,9 +113,6 @@ def _dumps(doc, shared=()) -> list[str]:
                     emit(v, inner)
                     lead = sep
                 append(newline + "]")
-            if id(obj) in shared:
-                text = texts[key] = "".join(out[start:])
-                out[start:] = [text]
         elif kind is bool or obj is None:
             append(_LITERALS[obj])
         else:
@@ -117,8 +122,8 @@ def _dumps(doc, shared=()) -> list[str]:
     return out
 
 
-def _emit_json(obj, shared=()) -> None:
-    pieces = _dumps(obj, shared)
+def _emit_json(obj) -> None:
+    pieces = _dumps(obj)
     for k in range(0, len(pieces), _WRITE_BATCH):
         sys.stdout.write("".join(pieces[k:k + _WRITE_BATCH]))
     sys.stdout.write("\n")
@@ -144,9 +149,9 @@ def _edge_obj(g: graphs.LabeledGraph, k: int) -> dict:
     }
 
 
-def _edge_objs(g: graphs.LabeledGraph) -> list[dict]:
-    """One edge object per graph edge, by index, for a command to share."""
-    return [_edge_obj(g, k) for k in range(g.m)]
+def _edge_objs(g: graphs.LabeledGraph) -> list[_Shared]:
+    """One shared edge object per graph edge, by index."""
+    return [_Shared(_edge_obj(g, k)) for k in range(g.m)]
 
 
 def _edge_name(g: graphs.LabeledGraph, e: graphs.Edge) -> str:
@@ -213,33 +218,32 @@ def _cmd_trails(args) -> int:
                 }
                 for t in trails
             ],
-        }, edges)
+        })
     else:
         for t in trails:
             path = "-".join(g.vertex_names[v] for v in t.vertices)
-            labels = ", ".join(edges[k]["label"] for k in t.edges)
+            labels = ", ".join(edges[k].value["label"] for k in t.edges)
             print(f"trail {path}: labels [{labels}] gcd {d.format(t.gcd)}")
         print(f"{len(trails)} zero trails of {g.vertex_names[i]}")
     return 0
 
 
 def _selections_doc(g: graphs.LabeledGraph, i: int,
-                    sels: list[splines.Selection]) -> tuple[dict, list]:
-    # The document, and the nodes it shares: the edge objects, one path
-    # list per trail (every selection lists the same trails) and one choice
-    # object per (trail, chosen edge) pair.
+                    sels: list[splines.Selection]) -> dict:
+    # Shared nodes: the edge objects, one path per trail (every selection
+    # lists the same trails) and one choice per (trail, chosen edge) pair.
     d, names = g.domain, g.vertex_names
     edges = _edge_objs(g)
     trails = sels[0].trails if sels else ()
-    paths = [[names[v] for v in t.vertices] for t in trails]
+    paths = [_Shared([names[v] for v in t.vertices]) for t in trails]
     choices = [{} for _ in trails]
 
     def choice(k, e, f):
         obj = choices[k].get(e)
         if obj is None:
-            obj = choices[k][e] = {
+            obj = choices[k][e] = _Shared({
                 "path": paths[k], "chosen_edge": edges[e], "factor": d.format(f),
-            }
+            })
         return obj
 
     return {
@@ -258,7 +262,7 @@ def _selections_doc(g: graphs.LabeledGraph, i: int,
             }
             for sel_id, sel in enumerate(sels)
         ],
-    }, [*edges, *paths, *(obj for c in choices for obj in c.values())]
+    }
 
 
 def _cmd_selections(args) -> int:
@@ -267,7 +271,7 @@ def _cmd_selections(args) -> int:
     d = g.domain
     sels = splines.minimal_selections(g, i, args.max_trails)
     if args.format == "json":
-        _emit_json(*_selections_doc(g, i, sels))
+        _emit_json(_selections_doc(g, i, sels))
     else:
         for k, s in enumerate(sels):
             labels = ", ".join(d.format(lab) for lab in s.labels)

@@ -148,6 +148,19 @@ class IntPoly:
 
     __rmul__ = __mul__
 
+    def __pow__(self, c: int) -> "IntPoly":
+        # By repeated squaring; a negative exponent raises.
+        if c < 0:
+            raise ValueError(f"negative exponent {c}")
+        out, f = _wrap((1,)), self
+        while c:
+            if c & 1:
+                out *= f
+            c >>= 1
+            if c:
+                f *= f
+        return out
+
     def __repr__(self) -> str:
         return f"IntPoly({ZZX.format(self)!r})"
 
@@ -257,11 +270,11 @@ def _gcd_coeffs(a, b):
 class Domain:
     """Arithmetic of one GCD domain.
 
-    Elements support ``+``, ``-`` and ``*``; callers subtract with the
-    operator, and multiply and fold through these methods, which a
-    profiler can wrap by name.  Subclasses supply parsing, text, canonical
-    associates, gcd, lcm and exact division.  Folds canonicalize after
-    each step, so set-wise gcd and lcm are order-independent.
+    Elements support ``+``, ``-``, ``*`` and ``**``; callers subtract and
+    raise with the operators, and multiply and fold through these methods,
+    which a profiler can wrap by name.  Subclasses supply parsing, text,
+    canonical associates, gcd, lcm and exact division.  Folds canonicalize
+    after each step, so set-wise gcd and lcm are order-independent.
     """
 
     name = "?"

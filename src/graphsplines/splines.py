@@ -215,19 +215,6 @@ def _repair(trails: Sequence[Trail], choice: list[int], keyset: frozenset[int],
     return choice
 
 
-def _power(d, f, c: int):
-    """``f`` to the power ``c >= 0`` by repeated squaring through ``d.mul``;
-    ``IntPoly`` has no ``__pow__``."""
-    out = d.one
-    while c:
-        if c & 1:
-            out = d.mul(out, f)
-        c >>= 1
-        if c:
-            f = d.mul(f, f)
-    return out
-
-
 class _VertexSelections:
     """What every selection at vertex ``i`` shares, built once: the long
     zero trails with a bit mask of each one's edge indices, the leading
@@ -348,7 +335,8 @@ class _VertexSelections:
                     factors[ti] = self.quotients[ti][e] = d.exact_div(
                         g.edges[e].label, trails[ti].gcd)
         factors = tuple(factors)
-        product = d.canonical(d.product(_power(d, f, c) for f, c in Counter(factors).items()))
+        counts = Counter(factors)
+        product = d.canonical(d.product(map(pow, counts, counts.values())))
         return Selection(
             graph=g,
             vertex=self.vertex,

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -640,6 +641,17 @@ JSON_DOCS = st.recursive(
 )
 
 
+def unwrap(obj):
+    """``obj`` with every ``cli._Shared`` node replaced by its value."""
+    if type(obj) is cli._Shared:
+        return unwrap(obj.value)
+    if type(obj) is dict:
+        return {k: unwrap(v) for k, v in obj.items()}
+    if type(obj) is list:
+        return [unwrap(v) for v in obj]
+    return obj
+
+
 class TestJsonRenderer:
     # ``cli._dumps`` against its oracle, ``json.dumps(doc, indent=2)``.
     @settings(max_examples=200, deadline=None)
@@ -652,62 +664,93 @@ class TestJsonRenderer:
            shared_list=st.lists(JSON_DOCS, min_size=1, max_size=3),
            other=JSON_DOCS)
     def test_shared_containers_at_two_depths(self, shared_dict, shared_list, other):
-        # One object at two depths has two texts, so the kept text of a
-        # container must be keyed by its depth as well as its identity.
+        # One wrapper at two depths has two texts, so a kept text must be
+        # reused only at the depth it was joined at.
+        d, l = cli._Shared(shared_dict), cli._Shared(shared_list)
         doc = {
-            "d": shared_dict,
-            "l": shared_list,
-            "deeper": [other, {"d": shared_dict, "l": [shared_list, shared_list]}],
-            "again": shared_dict,
-            "empty": [[], {}, [[]], {"e": {}}],
+            "d": d,
+            "l": l,
+            "deeper": [other, {"d": d, "l": [l, l]}],
+            "again": d,
+            "empty": [[], {}, [[]], {"e": {}}, cli._Shared([])],
         }
-        assert "".join(cli._dumps(doc)) == json.dumps(doc, indent=2)
+        assert "".join(cli._dumps(doc)) == json.dumps(unwrap(doc), indent=2)
 
     def test_long_shared_containers_at_two_depths(self):
-        # A shared text is kept once per depth, and reused as the same
-        # string at its own depth only: 44 places, 3 depths, 2 containers.
-        long_list = ["x" * 600, "y" * 600]
-        long_dict = {"k": "z" * 1500, "n": 10 ** 600}
+        # A wrapper's text is joined once per change of depth, and reused
+        # as the same string while the depth stays: 44 places, 3 depths,
+        # 2 wrappers.
+        long_list = cli._Shared(["x" * 600, "y" * 600])
+        long_dict = cli._Shared({"k": "z" * 1500, "n": 10 ** 600})
         doc = {"a": [long_list, long_dict], "c": [[long_dict, long_list]],
                **{f"r{j}": (long_list, long_dict)[j % 2] for j in range(40)}}
-        pieces = cli._dumps(doc, [long_list, long_dict])
-        assert "".join(pieces) == json.dumps(doc, indent=2)
+        pieces = cli._dumps(doc)
+        assert "".join(pieces) == json.dumps(unwrap(doc), indent=2)
         long = [p for p in pieces if len(p) > 1024]
         assert len(long) == 44 and len({id(p) for p in long}) == 6
+
+    def test_wrapper_at_alternating_depths(self):
+        # Each place at a new depth joins the text again; none is written
+        # with the indent of the place before it.
+        edge = cli._Shared({"u": "a", "v": ["b", "c"]})
+        doc = [edge, [edge], edge, {"e": [edge, edge]}, [[edge]], edge]
+        pieces = cli._dumps(doc)
+        assert "".join(pieces) == json.dumps(unwrap(doc), indent=2)
+        assert pieces[-2] is edge.text and edge.newline == "\n  "
 
     @settings(max_examples=100, deadline=None)
     @given(node=st.lists(JSON_DOCS, min_size=1, max_size=3)
            | st.dictionaries(JSON_TEXT, JSON_DOCS, min_size=1, max_size=3),
            other=JSON_DOCS, data=st.data())
     def test_any_declared_containers(self, node, other, data):
-        # Any subset of the document's containers may be declared shared,
-        # with ``node`` at two depths and a copy of it that the document
-        # does not hold: equal, but not the same object.
-        doc = {"node": node, "deeper": [other, {"again": [node, node]}]}
-        found, stack = {}, [doc]
-        while stack:
-            obj = stack.pop()
-            if type(obj) in (dict, list) and id(obj) not in found:
-                found[id(obj)] = obj
-                stack.extend(obj.values() if type(obj) is dict else obj)
-        containers = list(found.values())
-        mask = data.draw(st.lists(st.booleans(), min_size=len(containers),
-                                  max_size=len(containers)))
-        shared = [c for c, keep in zip(containers, mask) if keep]
-        shared.append(json.loads(json.dumps(node)))
-        assert "".join(cli._dumps(doc, shared)) == json.dumps(doc, indent=2)
+        # Any subset of the document's containers may be wrapped, one
+        # wrapper per container, with ``node`` at two depths, alternately.
+        doc = {"node": node, "deeper": [other, {"again": [node, node]}],
+               "back": node}
+        built = {}
+
+        def wrap(obj):
+            if type(obj) not in (dict, list):
+                return obj
+            if id(obj) not in built:
+                copy = ({k: wrap(v) for k, v in obj.items()} if type(obj) is dict
+                        else [wrap(v) for v in obj])
+                built[id(obj)] = cli._Shared(copy) if data.draw(st.booleans()) else copy
+            return built[id(obj)]
+
+        assert "".join(cli._dumps(wrap(doc))) == json.dumps(doc, indent=2)
 
     def test_unshared_parents_not_kept(self):
         # One long edge object in 50 trails that are not shared: every
         # piece that holds the edge's text is that one kept string, not a
         # trail's joined copy of it.
-        edge = {"index": 0, "u": "a", "v": "b", "label": "7" * 5000}
+        edge = cli._Shared({"index": 0, "u": "a", "v": "b", "label": "7" * 5000})
         doc = {"trails": [{"path": ["a", "b"], "edges": [edge], "gcd": "7"}
                           for _ in range(50)]}
-        pieces = cli._dumps(doc, [edge])
-        assert "".join(pieces) == json.dumps(doc, indent=2)
+        pieces = cli._dumps(doc)
+        assert "".join(pieces) == json.dumps(unwrap(doc), indent=2)
         long = [p for p in pieces if len(p) > 5000]
         assert len(long) == 50 and len({id(p) for p in long}) == 1
+
+    @pytest.mark.parametrize("graph", ["k5_distinct", "repeated_label_k5"])
+    @pytest.mark.parametrize("command, shared", [
+        ("trails", "edges"), ("selections", "choices")])
+    def test_command_documents(self, monkeypatch, graph, command, shared):
+        # The documents the commands build, at v2: rendered exactly, and
+        # each distinct shared node's text is one string, placed wherever
+        # the document holds that node.
+        docs = []
+        monkeypatch.setattr(cli, "_load_graph", lambda path: getattr(helpers, graph)())
+        monkeypatch.setattr(cli, "_emit_json", docs.append)
+        assert main([command, "--graph", "-", "--vertex", "2", "--format", "json"]) == 0
+        [doc] = docs
+        pieces = cli._dumps(doc)
+        assert "".join(pieces) == json.dumps(unwrap(doc), indent=2)
+        places = [node for entry in doc[command] for node in entry[shared]]
+        assert places and all(type(node) is cli._Shared for node in places)
+        counts = Counter(map(id, pieces))
+        for node in {id(node): node for node in places}.values():
+            assert counts[id(node.text)] == sum(n is node for n in places)
 
     def test_edge_documents(self):
         for doc in ({}, [], "", 0, True, False, None, 10 ** 40, -(10 ** 40),
