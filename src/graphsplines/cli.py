@@ -2,9 +2,10 @@
 
 Subcommands read graph and spline documents (JSON; see ``graphs`` and
 the README).  Exit codes: 0 for success or an affirmative verdict, 1 for
-a negative verdict, 2 for any input or usage problem.  Output is
-deterministic.  ``--format json`` is ``json.dumps(doc, indent=2)`` byte
-for byte, written in batches, with one kept text per ``_Shared`` node.
+a negative verdict, 2 for any input or usage problem or when memory runs
+out.  Output is deterministic.  ``--format json`` is ``json.dumps(doc,
+indent=2)`` byte for byte, written in batches, with one kept text per
+``_Shared`` node.
 """
 
 from __future__ import annotations
@@ -158,8 +159,7 @@ def _edge_name(g: graphs.LabeledGraph, e: graphs.Edge) -> str:
     return f"{g.vertex_names[e.u]}-{g.vertex_names[e.v]}"
 
 
-def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_verify(g: graphs.LabeledGraph, args) -> int:
     values = _load_spline(args.spline, g)
     d = g.domain
     violation = splines.first_violation(g, values)
@@ -184,8 +184,7 @@ def _cmd_verify(args) -> int:
     return 0 if violation is None else 1
 
 
-def _cmd_invariants(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_invariants(g: graphs.LabeledGraph, args) -> int:
     d = g.domain
     leads = splines.leading_values(g)
     q = d.canonical(d.product(leads))
@@ -201,8 +200,7 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _cmd_trails(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_trails(g: graphs.LabeledGraph, args) -> int:
     i = _vertex_index(g, args.vertex, "zero trails", 0)
     d = g.domain
     trails = graphs.zero_trails(g, i, args.max_trails)
@@ -265,8 +263,7 @@ def _selections_doc(g: graphs.LabeledGraph, i: int,
     }
 
 
-def _cmd_selections(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_selections(g: graphs.LabeledGraph, args) -> int:
     i = _vertex_index(g, args.vertex, "selections", 1)
     d = g.domain
     sels = splines.minimal_selections(g, i, args.max_trails)
@@ -281,8 +278,7 @@ def _cmd_selections(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_construct(g: graphs.LabeledGraph, args) -> int:
     i = _vertex_index(g, args.vertex, "selections", 1)
     graphs.check_completion_trail_cap(g, i, args.max_trails)
     if missing := g.n * (g.n - 1) // 2 - g.m:
@@ -303,8 +299,7 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _cmd_check_basis(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_check_basis(g: graphs.LabeledGraph, args) -> int:
     if len(args.spline) != g.n:
         raise ValueError(f"check-basis needs exactly {g.n} --spline documents")
     candidates = [_load_spline(p, g) for p in args.spline]
@@ -326,8 +321,7 @@ def _cmd_check_basis(args) -> int:
     return 0 if verdict.is_basis else 1
 
 
-def _cmd_flowup(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_flowup(g: graphs.LabeledGraph, args) -> int:
     d = g.domain
     basis = basis_mod.flowup_basis(g)
     texts = {v: d.format(v) for v in set().union(*basis)}
@@ -405,10 +399,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return args.handler(_load_graph(args.graph), args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError:
+        print("error: memory ran out", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ label set into a ``Selection``: the key masks are ORed into one mask, and
 every trail takes the lowest set bit of its mask within it, its
 lowest-indexed selected edge.  Only a label that no trail took sends the
 choice to an augmenting-path repair, which minimal label sets never need.
-Each trail's quotients are computed on first use and kept, and the
-product is taken once per distinct quotient, as a power.
+The quotients are tabled once per vertex, one table per distinct trail
+gcd, and the product is taken once per distinct quotient, as a power.
 """
 
 from __future__ import annotations
@@ -165,62 +165,12 @@ class Selection:
     h_edges: frozenset = field(repr=False)
 
 
-def _repair(trails: Sequence[Trail], choice: list[int], keyset: frozenset[int],
-            key_of_edge) -> list[int]:
-    """Reassign trails along augmenting chains until every key in
-    ``keyset`` is the choice of some trail, or raise ValueError.
-
-    Runs only for a key that no trail's lowest selected edge carries,
-    which never happens for a minimal label set: each of its keys has a
-    trail on which it is the only selected one.
-    """
-    carriers: dict[int, list[int]] = {}
-    for ti, t in enumerate(trails):
-        for k in {key_of_edge[e] for e in t.edges} & keyset:
-            carriers.setdefault(k, []).append(ti)
-    counts = Counter(key_of_edge[e] for e in choice)
-
-    def realize(key: int) -> bool:
-        # Depth-first search on an explicit stack: chain[f] is the trail
-        # that takes wants[f] and hands its current key to the next level,
-        # unless another trail also chooses that key.
-        visited: set[int] = set()
-        wants, pending, chain = [key], [iter(carriers.get(key, ()))], []
-        while pending:
-            for ti in pending[-1]:
-                old = key_of_edge[choice[ti]]
-                if ti in visited or old == wants[-1]:
-                    continue
-                visited.add(ti)
-                chain.append(ti)
-                if counts[old] > 1:
-                    for want, tj in zip(wants, chain):
-                        counts[key_of_edge[choice[tj]]] -= 1
-                        counts[want] += 1
-                        choice[tj] = min(e for e in trails[tj].edges if key_of_edge[e] == want)
-                    return True
-                wants.append(old)
-                pending.append(iter(carriers[old]))
-                break
-            else:
-                pending.pop()
-                wants.pop()
-                if chain:
-                    chain.pop()
-        return False
-
-    for key in sorted(keyset):
-        if counts[key] == 0 and not realize(key):
-            raise ValueError("label set is not realizable as a selection")
-    return choice
-
-
 class _VertexSelections:
     """What every selection at vertex ``i`` shares, built once: the long
     zero trails with a bit mask of each one's edge indices, the leading
     value, the key of each label (the smallest edge index carrying its
-    canonical associate) with a mask of the edges carrying it, and per
-    trail a dict from edge to quotient l(e)/gcd, filled on first use."""
+    canonical associate) with a mask of the edges carrying it, and one
+    table of quotients l(e)/gcd per distinct trail gcd, over its trails."""
 
     def __init__(self, g: LabeledGraph, i: int, max_trails: int):
         if not 1 <= i <= g.n - 2:
@@ -238,7 +188,12 @@ class _VertexSelections:
             t for t in zero_trails(g, i, max_trails) if len(t.edges) > 1
         )
         self.trail_mask = [sum(1 << e for e in t.edges) for t in self.trails]
-        self.quotients: list[dict] = [{} for _ in self.trails]
+        edges_by_gcd: dict = {}
+        for t in self.trails:
+            edges_by_gcd.setdefault(t.gcd, set()).update(t.edges)
+        tables = {c: {e: d.exact_div(g.edges[e].label, c) for e in edges}
+                  for c, edges in edges_by_gcd.items()}
+        self.quotients: list[dict] = [tables[t.gcd] for t in self.trails]
         self.lead = leading_value(g, i)
 
     def minimal_keysets(self) -> list[frozenset[int]]:
@@ -311,8 +266,8 @@ class _VertexSelections:
         ``keyset`` (``h_edges``).  Each long trail takes the lowest set bit
         of its mask within ``h``, its lowest-indexed selected edge; only
         when some key is then taken by no trail does ``_repair`` reassign
-        trails.  The product of the chosen quotients is taken over their
-        distinct values, each to the power of its count.
+        trails.  The factors are read from the trails' quotient tables and
+        multiplied over their distinct values, each to the power of its count.
         """
         g, d, trails, key = self.graph, self.graph.domain, self.trails, self.edge_key
         h = 0
@@ -327,14 +282,8 @@ class _VertexSelections:
             )
         choice = [(c & -c).bit_length() - 1 for c in common]
         if len(set(map(key.__getitem__, choice))) < len(keyset):
-            choice = _repair(trails, choice, keyset, key)
-        factors = list(map(dict.get, self.quotients, choice))
-        if None in factors:
-            for ti, e in enumerate(choice):
-                if factors[ti] is None:
-                    factors[ti] = self.quotients[ti][e] = d.exact_div(
-                        g.edges[e].label, trails[ti].gcd)
-        factors = tuple(factors)
+            choice = self._repair(choice, keyset)
+        factors = tuple(map(dict.__getitem__, self.quotients, choice))
         counts = Counter(factors)
         product = d.canonical(d.product(map(pow, counts, counts.values())))
         return Selection(
@@ -348,6 +297,53 @@ class _VertexSelections:
             value=d.canonical(d.mul(product, self.lead)),
             h_edges=frozenset(e for e, k in enumerate(key) if k in keyset),
         )
+
+    def _repair(self, choice: list[int], keyset: frozenset[int]) -> list[int]:
+        """Reassign trails along augmenting chains until every key in
+        ``keyset`` is the choice of some trail, or raise ValueError.  Trail
+        t carries key k when ``trail_mask[t] & key_mask[k]``, and moves onto
+        that intersection's lowest set bit, the rule of ``select``.  Runs
+        only for a key that no trail's lowest selected edge carries, never
+        for a minimal label set: each of its keys has a trail on which it is
+        the only selected one."""
+        edge_key, trail_mask, key_mask = self.edge_key, self.trail_mask, self.key_mask
+        carriers = {k: [t for t, m in enumerate(trail_mask) if m & key_mask[k]] for k in keyset}
+        counts = Counter(edge_key[e] for e in choice)
+
+        def realize(key: int) -> bool:
+            # Depth-first search on an explicit stack: chain[f] is the trail
+            # that takes wants[f] and hands its current key to the next level,
+            # unless another trail also chooses that key.
+            visited: set[int] = set()
+            wants, pending, chain = [key], [iter(carriers[key])], []
+            while pending:
+                for ti in pending[-1]:
+                    old = edge_key[choice[ti]]
+                    if ti in visited or old == wants[-1]:
+                        continue
+                    visited.add(ti)
+                    chain.append(ti)
+                    if counts[old] > 1:
+                        for want, tj in zip(wants, chain):
+                            counts[edge_key[choice[tj]]] -= 1
+                            counts[want] += 1
+                            c = trail_mask[tj] & key_mask[want]
+                            choice[tj] = (c & -c).bit_length() - 1
+                        return True
+                    wants.append(old)
+                    pending.append(iter(carriers[old]))
+                    break
+                else:
+                    pending.pop()
+                    wants.pop()
+                    if chain:
+                        chain.pop()
+            return False
+
+        for key in sorted(keyset):
+            if counts[key] == 0 and not realize(key):
+                raise ValueError("label set is not realizable as a selection")
+        return choice
 
 
 def minimal_selections(g: LabeledGraph, i: int,

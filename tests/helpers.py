@@ -46,7 +46,6 @@ from graphsplines import (
     selection_from_labels,
     zero_trails,
 )
-from graphsplines.splines import _repair
 
 
 def graph_doc(domain, vertices, edges):
@@ -580,10 +579,11 @@ def checked_minimal_keysets(at, check: bool = True) -> list[frozenset[int]]:
 
 
 def reference_select(at, keyset: frozenset[int]) -> Selection:
-    """``_VertexSelections.select`` without bit masks or kept quotients:
+    """``_VertexSelections.select`` without bit masks or quotient tables:
     each trail takes ``min`` of its edges' intersection with the selected
     ones, each factor is one ``exact_div``, and the product is
-    ``Domain.product`` over every factor."""
+    ``Domain.product`` over every factor.  A key that no trail took still
+    goes to the context's ``_repair``."""
     g, d, trails, key = at.graph, at.graph.domain, at.trails, at.edge_key
     h_edges = frozenset(e for e, k in enumerate(key) if k in keyset)
     choice = []
@@ -596,7 +596,7 @@ def reference_select(at, keyset: frozenset[int]) -> Selection:
             )
         choice.append(min(common))
     if len({key[e] for e in choice}) < len(keyset):
-        choice = _repair(trails, choice, keyset, key)
+        choice = at._repair(choice, keyset)
     factors = tuple(
         d.exact_div(g.edges[e].label, t.gcd) for t, e in zip(trails, choice)
     )

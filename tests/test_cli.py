@@ -842,6 +842,20 @@ class TestDriver:
         code, out, _ = run(capsys, "invariants", "--graph", diamond_path)
         assert code == 0 and out.endswith("q_g = 2160\n")
 
+    @pytest.mark.parametrize("module, name, argv", [
+        (graphs, "load_graph", ["invariants"]),
+        (splines, "minimal_selections", ["selections", "--vertex", "2"]),
+    ])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, diamond_path,
+                                  module, name, argv):
+        # Raised by a stand-in for the library call, never by allocating.
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        code, out, err = run(capsys, *argv, "--graph", diamond_path)
+        assert (code, out, err) == (2, "", "error: memory ran out\n")
+
     def test_uses_only_public_library_names(self):
         source = Path(cli.__file__).read_text(encoding="utf-8")
         assert not re.search(r"\b(graphs|splines|basis_mod)\._", source)

@@ -77,6 +77,11 @@ class TestLoadGraph:
             helpers.make_graph("intpoly", ["a", "b"], [("a", "b", "x^20000")])
 
 
+    def test_equality_and_repr(self, diamond):
+        assert diamond == helpers.diamond() and (diamond == 5) is False
+        assert repr(diamond) == "LabeledGraph(n=4, m=5, domain=int)"
+
+
 class TestEdgeIndices:
     @pytest.mark.parametrize("seed", range(5))
     def test_neighbors_in_edge_index_order(self, seed):

@@ -368,6 +368,15 @@ class TestIntPolyTruth:
         assert IntPoly([0, 1]) and IntPoly([-3]) and ZZX.one
 
 
+class TestIntPolyOperands:
+    def test_float_operand_raises(self):
+        # Neither side multiplies an IntPoly by a float, so Python raises.
+        with pytest.raises(TypeError):
+            IntPoly((1,)) * 1.5
+        with pytest.raises(TypeError):
+            1.5 * IntPoly((1,))
+
+
 class TestIntPolyHash:
     def test_constants_meet_ints(self):
         assert 3 in {IntPoly((3,))} and IntPoly((3,)) in {3}

@@ -479,6 +479,28 @@ class TestSelectionFastPaths:
         assert selection_fields(at.select(keyset)) == \
             selection_fields(helpers.reference_select(at, keyset))
 
+    def test_one_quotient_table_per_trail_gcd(self, monkeypatch):
+        # At v2 of the repeated-label K5, 15 long trails with gcds 1, 2
+        # and 3 hold 48 edges but only 13 distinct (gcd, edge) pairs: the
+        # context divides once per pair, and selecting divides no more.
+        divisions = []
+        exact_div = type(ZZ).exact_div
+        monkeypatch.setattr(type(ZZ), "exact_div",
+                            lambda d, a, b: divisions.append((a, b)) or exact_div(d, a, b))
+        g = helpers.repeated_label_k5()
+        at = splines._VertexSelections(g, 1, DEFAULT_TRAIL_LIMIT)
+        tables = {t.gcd: q for t, q in zip(at.trails, at.quotients)}
+        assert (len(at.trails), sorted(tables), len(divisions)) == (15, [1, 2, 3], 13)
+        assert len({id(q) for q in at.quotients}) == 3
+        for gcd, q in tables.items():
+            assert set(q) == {e for t in at.trails if t.gcd == gcd for e in t.edges}
+            assert all(f * gcd == g.edges[e].label for e, f in q.items())
+        del divisions[:]
+        # {2, 3, 5, 7} is not minimal and takes _repair.
+        for keyset in at.minimal_keysets() + [frozenset(at.key[lab] for lab in (2, 3, 5, 7))]:
+            at.select(keyset)
+        assert divisions == []
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_power_by_squaring_matches_prod(self, data):
@@ -583,6 +605,16 @@ class TestSelectionProducts:
         assert s.chosen == (2, 7, 6)
         assert s.factors == (2, 3, 2)
         assert s.value == 180
+
+    def test_repair_takes_the_lowest_edge_of_the_wanted_label(self):
+        # Both trails first take label 2 on edge 0; repair moves the trail
+        # v2-a-b-v1 onto label 3, which it carries on edges 1 and 2.
+        g = helpers.make_graph("int", ["v1", "v2", "a", "b"], [
+            ("v2", "a", 2), ("a", "b", 3), ("b", "v1", 3), ("a", "v1", 5),
+        ])
+        s = selection_from_labels(g, 1, [2, 3])
+        assert [t.vertices for t in s.trails] == [(1, 2, 3, 0), (1, 2, 0)]
+        assert (s.chosen, s.factors, s.value) == ((1, 0), (3, 2), 6)
 
     def test_vertex_without_long_trails(self):
         g = helpers.make_graph("int", ["v1", "v2", "v3"],
